@@ -19,15 +19,16 @@ import numpy as np
 
 from .autodiff import Dual
 from .network import Network, _forward_any
-from .ode import ConfigurationError, OdeProblem, solve_reference
-from .train import CollocationSet, assemble_inputs, infer_layout, sample_collocation
+from .ode import ConfigurationError, NumericError, OdeProblem, solve_reference
+from .train import (CollocationSet, assemble_inputs, infer_layout, sample_collocation,
+                    trajectory_rows)
 
 
 class DomainError(ValueError):
     pass
 
 
-class DegenerateSmoothingError(RuntimeError):
+class DegenerateSmoothingError(NumericError):
     """K estimation hit a non-finite second derivative; use mu > 0."""
 
 
@@ -53,24 +54,11 @@ def residual_batch_columns(weights, biases, activation, layout, problem,
     return [ydot[:, i] - f_cols[i] for i in range(problem.dim)]
 
 
-def _residual_rows(net, problem, layout, t_array, x0, u):
-    """(B, n) residual values for one (x0, u) at many times.  No domain check."""
-    t_array = np.asarray(t_array, dtype=float)
-    B = len(t_array)
-    X0 = np.broadcast_to(np.asarray(x0, dtype=float), (B, problem.dim))
-    U = np.broadcast_to(np.asarray(u, dtype=float).reshape(-1), (B, problem.control_dim)) \
-        if problem.control_dim else np.zeros((B, 0))
-    cols = residual_batch_columns(net.weights, net.biases, net.activation,
-                                  layout, problem, t_array, X0, U)
-    return np.column_stack(cols)
-
-
 def residual(net: Network, problem: OdeProblem, x0, u, t):
     """R(t) = d/dt phihat(t) - f(t, phihat(t)), via forward-mode autodiff."""
     if not (0.0 <= t <= problem.t_final):
         raise DomainError(f"t={t} outside the time horizon [0, {problem.t_final}]")
-    layout = infer_layout(net, problem)
-    return _residual_rows(net, problem, layout, np.array([t]), x0, u)[0]
+    return ResidualFn(net, problem, x0, u)(t)[0]
 
 
 @dataclass
@@ -86,8 +74,10 @@ class ResidualFn:
         self._layout = infer_layout(self.net, self.problem)
 
     def __call__(self, t):
-        return _residual_rows(self.net, self.problem, self._layout,
-                              np.atleast_1d(t), self.x0, self.u)
+        cols = residual_batch_columns(self.net.weights, self.net.biases, self.net.activation,
+                                      self._layout, self.problem,
+                                      *trajectory_rows(t, self.x0, self.u))
+        return np.column_stack(cols)
 
     def norms(self, t):
         return np.linalg.norm(self(t), axis=1)
@@ -120,60 +110,36 @@ class SmoothDelta:
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
+MU_POLICIES = ("tenth_of_mean", "explicit")
+
+
 def make_delta(residual_fn: ResidualFn, mu_policy="tenth_of_mean",
-               colloc: CollocationSet = None, mu: float = None) -> SmoothDelta:
-    """Build the smooth residual majorant with the chosen mu policy."""
+               colloc: CollocationSet = None, mu: float = None,
+               mean_residual: float = None) -> SmoothDelta:
+    """Build the smooth residual majorant with the chosen mu policy.
+
+    ``tenth_of_mean`` takes a tenth of ``mean_residual`` when given, else
+    of the mean residual norm over ``colloc``.
+    """
     if mu_policy == "explicit":
         if mu is None or mu < 0:
             raise ConfigurationError("explicit mu policy needs mu >= 0")
         return SmoothDelta(residual_fn, float(mu))
     if mu_policy == "tenth_of_mean":
-        if colloc is None:
-            raise ConfigurationError("tenth_of_mean policy needs a collocation set")
-        rbar = mean_residual_norm(residual_fn.net, residual_fn.problem, colloc)
-        return SmoothDelta(residual_fn, 0.1 * rbar)
+        if mean_residual is None:
+            if colloc is None:
+                raise ConfigurationError("tenth_of_mean policy needs a collocation set")
+            mean_residual = mean_residual_norm(residual_fn.net, residual_fn.problem, colloc)
+        return SmoothDelta(residual_fn, 0.1 * mean_residual)
     raise ConfigurationError(f"unknown mu policy {mu_policy!r}")
 
 
 # -- growth constants -----------------------------------------------------
 
-def jacobi_eigenvalues(a, tol=1e-12, max_sweeps=50):
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a.ravel().copy()
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, np.sum(a ** 2) - np.sum(np.diag(a) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(a[p, q]) * 1e150 < abs(diff):   # tiny rotation, avoid overflow
-                    t = a[p, q] / diff
-                else:
-                    theta = diff / (2.0 * a[p, q])
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return np.diag(a).copy()
-
-
 def largest_singular_value(j):
-    """sigma_max via the largest eigenvalue of J^T J (cyclic Jacobi)."""
+    """sigma_max via the largest eigenvalue of J^T J (numpy's symmetric solver)."""
     j = np.asarray(j, dtype=float)
-    eigs = jacobi_eigenvalues(j.T @ j)
+    eigs = np.linalg.eigvalsh(j.T @ j)
     return math.sqrt(max(float(np.max(eigs)), 0.0))
 
 
@@ -243,8 +209,11 @@ def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FA
 def trapezoid_bound_integral(delta, L, t, n, K):
     """Composite trapezoid value of I(t, delta) and its certified remainder.
 
-    Returns (i_hat, e_int) with |i_hat - I(t, delta)| <= e_int whenever K
-    truly bounds the damped integrand's second derivative.
+    I(t, delta) = int_0^t e^{L(t-s)} delta(s) ds, where the growth rate L is
+    a Lipschitz constant or, for linear systems, a spectral abscissa that
+    may be negative.  Returns (i_hat, e_int) with |i_hat - I(t, delta)| <=
+    e_int whenever K truly bounds the damped integrand's second derivative.
+    The remainder prefactor max(1, e^{Lt}) equals e^{Lt} for L >= 0.
     """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
@@ -253,24 +222,7 @@ def trapezoid_bound_integral(delta, L, t, n, K):
     s = np.linspace(0.0, t, n + 1)
     vals = np.exp(-L * s) * np.atleast_1d(delta(s))
     i_hat = (t / (2.0 * n)) * math.exp(L * t) * float(vals[1:].sum() + vals[:-1].sum())
-    e_int = math.exp(L * t) * K * t ** 3 / (12.0 * n * n)
-    return i_hat, e_int
-
-
-def trapezoid_bound_integral_damped(delta, alpha, t, n, K):
-    """Linear-mode variant: exponent alpha may be negative.
-
-    The remainder prefactor is the conservative max(1, e^{alpha t}) since
-    the classical bound is stated for the nonlinear e^{Lt} form.
-    """
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    if t == 0.0:
-        return 0.0, 0.0
-    s = np.linspace(0.0, t, n + 1)
-    vals = np.exp(-alpha * s) * np.atleast_1d(delta(s))
-    i_hat = (t / (2.0 * n)) * math.exp(alpha * t) * float(vals[1:].sum() + vals[:-1].sum())
-    e_int = max(1.0, math.exp(alpha * t)) * K * t ** 3 / (12.0 * n * n)
+    e_int = max(1.0, math.exp(L * t)) * K * t ** 3 / (12.0 * n * n)
     return i_hat, e_int
 
 
@@ -324,54 +276,43 @@ class CertifyConfig:
     cond_limit: float = 1e12        # eigenvector conditioning limit for beta
 
 
-def _certificate_constants(config, **extra):
-    consts = {"eps": config.eps, "mu_policy": config.mu_policy,
-              "K_grid": config.K_grid, "safety_factor": config.safety_factor}
-    consts.update(extra)
-    return consts
+def _growth_bound(net, problem, x0, u, t, config, colloc, rate, beta, growth):
+    """E_init + I_hat + E_Int for the error growth factor beta * e^{rate t}.
 
-
-def _prepare(net, problem, x0, u, config):
-    """Shared setup: residual, collocation, mu, initial error."""
+    (rate, beta) is (L, 1) on the Lipschitz route and (alpha, beta) for a
+    linear system; the dict ``growth`` names them in ``constants_used``.
+    """
+    if not (0.0 <= t <= problem.t_final):
+        raise DomainError(f"t={t} outside the time horizon")
     x0 = np.asarray(x0, dtype=float)
-    u = np.asarray(u, dtype=float).reshape(-1) if np.size(u) else np.zeros(0)
-    rfn = ResidualFn(net, problem, x0, u)
-    # L / mu sampling is denser than typical training collocation to reduce
-    # the risk of underestimating L
-    colloc = sample_collocation(problem, config.colloc_count, config.colloc_seed)
     rbar = mean_residual_norm(net, problem, colloc)
-    if config.mu_policy == "explicit":
-        delta = make_delta(rfn, "explicit", mu=config.mu)
-    else:
-        delta = SmoothDelta(rfn, 0.1 * rbar)
-    layout = infer_layout(net, problem)
-    X = assemble_inputs(layout, np.array([0.0]), x0[None, :], u[None, :] if len(u) else np.zeros((1, 0)))
-    xhat0 = _forward_any(net.weights, net.biases, net.activation, X)[0]
-    init_error = float(np.linalg.norm(x0 - xhat0))
-    return rfn, colloc, rbar, delta, init_error
+    delta = make_delta(ResidualFn(net, problem, x0, u), config.mu_policy,
+                       mu=config.mu, mean_residual=rbar)
+    init_error = float(np.linalg.norm(x0 - predict_states(net, problem, x0, u, 0.0)[0]))
+    K = estimate_K(delta, rate, problem.t_final, config.K_grid, config.safety_factor)
+    n = config.n if config.n is not None else subinterval_count(
+        t, init_error, max(rate, 1e-6), K, rbar, config.eps)
+    e_init = beta * math.exp(rate * t) * init_error
+    i_hat, e_int = trapezoid_bound_integral(delta, rate, t, n, K)
+    i_hat, e_int = beta * i_hat, beta * e_int
+    constants = {"eps": config.eps, "mu_policy": config.mu_policy,
+                 "K_grid": config.K_grid, "safety_factor": config.safety_factor,
+                 **growth, "K": K, "n_subintervals": n, "mu": delta.mu,
+                 "mean_residual": rbar}
+    return Certificate(t=float(t), e_init=e_init, i_hat=i_hat, e_int=e_int,
+                       total=e_init + i_hat + e_int, constants_used=constants)
 
 
 def bound_nonlinear(net: Network, problem: OdeProblem, x0, u, t,
                     config: CertifyConfig = None) -> Certificate:
     """Certified bound e^{Lt}||e(0)|| + I_hat + E_Int (Lipschitz route)."""
     config = config or CertifyConfig()
-    if not (0.0 <= t <= problem.t_final):
-        raise DomainError(f"t={t} outside the time horizon")
-    rfn, colloc, rbar, delta, init_error = _prepare(net, problem, x0, u, config)
+    # L / mu sampling is denser than typical training collocation to reduce
+    # the risk of underestimating L
+    colloc = sample_collocation(problem, config.colloc_count, config.colloc_seed)
     L = config.L if config.L is not None else estimate_lipschitz(problem, colloc)
-    K = estimate_K(delta, L, problem.t_final, config.K_grid, config.safety_factor)
-    if config.n is not None:
-        n = config.n
-    else:
-        n = subinterval_count(t, init_error, L, K, rbar, config.eps) if t > 0 else 1
-    e_init = math.exp(L * t) * init_error
-    i_hat, e_int = trapezoid_bound_integral(delta, L, t, n, K)
-    return Certificate(
-        t=float(t), e_init=e_init, i_hat=i_hat, e_int=e_int,
-        total=e_init + i_hat + e_int,
-        constants_used=_certificate_constants(
-            config, mode="nonlinear", L=L, K=K, n_subintervals=n,
-            mu=delta.mu, mean_residual=rbar))
+    return _growth_bound(net, problem, x0, u, t, config, colloc, L, 1.0,
+                         {"mode": "nonlinear", "L": L})
 
 
 def bound_linear(net: Network, problem: OdeProblem, x0, u, t,
@@ -380,41 +321,18 @@ def bound_linear(net: Network, problem: OdeProblem, x0, u, t,
     config = config or CertifyConfig()
     if problem.linear_part is None:
         raise ConfigurationError("bound_linear needs problem.linear_part")
-    if not (0.0 <= t <= problem.t_final):
-        raise DomainError(f"t={t} outside the time horizon")
     a = np.asarray(problem.linear_part, dtype=float)
     alpha = spectral_abscissa(a)
-    eigvals, eigvecs = np.linalg.eig(a)
-    cond = np.linalg.cond(eigvecs)
+    cond = np.linalg.cond(np.linalg.eig(a)[1])
     if not np.isfinite(cond) or cond > config.cond_limit:
         cert = bound_nonlinear(net, problem, x0, u, t, config)
         cert.constants_used["linear_fallback"] = "eigenvector matrix ill-conditioned"
         return cert
     # normal A admits beta = 1; otherwise the eigenvector conditioning pays
     beta = 1.0 if np.allclose(a @ a.T, a.T @ a, atol=1e-12) else float(cond)
-
-    rfn, colloc, rbar, delta, init_error = _prepare(net, problem, x0, u, config)
-    K = estimate_K(delta, alpha, problem.t_final, config.K_grid, config.safety_factor)
-    if config.n is not None:
-        n = config.n
-    elif t > 0:
-        l_for_count = max(alpha, 1e-6)
-        try:
-            n = subinterval_count(t, init_error, l_for_count, K, rbar, config.eps)
-        except ConfigurationError:
-            n = 1
-    else:
-        n = 1
-    e_init = beta * math.exp(alpha * t) * init_error
-    i_hat, e_int = trapezoid_bound_integral_damped(delta, alpha, t, n, K)
-    i_hat *= beta
-    e_int *= beta
-    return Certificate(
-        t=float(t), e_init=e_init, i_hat=i_hat, e_int=e_int,
-        total=e_init + i_hat + e_int,
-        constants_used=_certificate_constants(
-            config, mode="linear", alpha=alpha, beta=beta, K=K,
-            n_subintervals=n, mu=delta.mu, mean_residual=rbar))
+    colloc = sample_collocation(problem, config.colloc_count, config.colloc_seed)
+    return _growth_bound(net, problem, x0, u, t, config, colloc, alpha, beta,
+                         {"mode": "linear", "alpha": alpha, "beta": beta})
 
 
 def bound(net, problem, x0, u, t, config: CertifyConfig = None) -> Certificate:
@@ -425,20 +343,13 @@ def bound(net, problem, x0, u, t, config: CertifyConfig = None) -> Certificate:
     return bound_nonlinear(net, problem, x0, u, t, config)
 
 
-# -- validation-only reference comparison ---------------------------------
-
 def predict_states(net: Network, problem: OdeProblem, x0, u, t_grid):
     """phihat(t) on a grid of times for one (x0, u)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    B = len(t_grid)
-    layout = infer_layout(net, problem)
-    x0 = np.asarray(x0, dtype=float)
-    u = np.asarray(u, dtype=float).reshape(-1) if np.size(u) else np.zeros(0)
-    X = assemble_inputs(layout, t_grid,
-                        np.broadcast_to(x0, (B, problem.dim)),
-                        np.broadcast_to(u, (B, len(u))) if len(u) else np.zeros((B, 0)))
+    X = assemble_inputs(infer_layout(net, problem), *trajectory_rows(t_grid, x0, u))
     return _forward_any(net.weights, net.biases, net.activation, X)
 
+
+# -- validation-only reference comparison ---------------------------------
 
 def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
                  h=1e-4):

@@ -1,7 +1,7 @@
 """Command-line experiment driver.
 
 Subcommands: train, certify, surrogate, compare, schedule.  Exit codes:
-0 success, 2 configuration/validation problem, 3 numeric divergence.
+0 success, 2 configuration/validation problem, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from . import certify as cert
 from . import presets, surrogate
 from .config import ExperimentConfig, load_config, preset_config, save_config
 from .network import load_network, save_network
-from .ode import BlowUpError, ConfigurationError
-from .train import DivergenceError, TrainingRun, export_loss_history, sample_collocation
+from .ode import ConfigurationError, NumericError
+from .train import TrainingRun, export_loss_history, sample_collocation
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -260,7 +260,7 @@ def main(argv=None):
     except (ConfigurationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, BlowUpError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

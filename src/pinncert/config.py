@@ -10,7 +10,10 @@ from __future__ import annotations
 import configparser
 from dataclasses import asdict, dataclass, field
 
+from .autodiff import ACTIVATIONS
+from .certify import MU_POLICIES
 from .ode import ConfigurationError
+from .train import OPTIMIZERS
 
 PRESETS = ("decay1d", "pendulum")
 
@@ -60,6 +63,17 @@ class ExperimentConfig:
             raise ConfigurationError("epochs must be >= 0 and colloc_count >= 1")
         if self.cert_mode not in ("auto", "linear", "nonlinear"):
             raise ConfigurationError(f"unknown certification mode {self.cert_mode!r}")
+        for key in ("optimizer", "surr_optimizer"):
+            if getattr(self, key) not in OPTIMIZERS:
+                raise ConfigurationError(f"unknown {key} {getattr(self, key)!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigurationError(f"unknown activation {self.activation!r}")
+        if self.mu_policy not in MU_POLICIES:
+            raise ConfigurationError(f"unknown mu_policy {self.mu_policy!r}")
+        if self.mu_policy == "explicit" and (self.mu is None or not self.mu >= 0):
+            raise ConfigurationError("mu_policy = explicit needs mu >= 0")
+        if not (self.eps > 0 and self.K_grid >= 10 and self.safety_factor >= 1):
+            raise ConfigurationError("need eps > 0, K_grid >= 10 and safety_factor >= 1")
 
 
 def preset_config(name, seed=None, desk_scale=True) -> ExperimentConfig:

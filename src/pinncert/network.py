@@ -72,12 +72,8 @@ def _forward_any(weights, biases, activation, x):
     act = ACTIVATIONS[activation]
     h = x
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = act(h @ _transpose(w) + b)
-    return h @ _transpose(weights[-1]) + biases[-1]
-
-
-def _transpose(w):
-    return w.T
+        h = act(h @ w.T + b)
+    return h @ weights[-1].T + biases[-1]
 
 
 def forward(net: Network, x):

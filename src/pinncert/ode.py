@@ -15,7 +15,11 @@ import numpy as np
 from .autodiff import cos, sin
 
 
-class BlowUpError(RuntimeError):
+class NumericError(RuntimeError):
+    """A computation produced a non-finite value (CLI exit code 3)."""
+
+
+class BlowUpError(NumericError):
     """Integration produced a non-finite state."""
 
     def __init__(self, t):
@@ -56,7 +60,6 @@ class OdeProblem:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
-    produced_by: str = "reference_solver"
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0) and len(self.times) > 1:

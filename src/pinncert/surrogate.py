@@ -14,8 +14,8 @@ import numpy as np
 from .autodiff import Tape
 from .certify import CertifyConfig, bound
 from .network import Network, _forward_any, bind_network, init_network, parameter_gradient
-from .ode import ConfigurationError, OdeProblem
-from .train import TrainingRun, _run_adam, _run_lbfgs, assemble_inputs, infer_layout, sample_collocation
+from .ode import ConfigurationError, NumericError, OdeProblem
+from .train import TrainingRun, assemble_inputs, optimize, sample_collocation, trajectory_rows
 
 
 @dataclass
@@ -41,8 +41,10 @@ def generate_surrogate_data(net: Network, problem: OdeProblem, count, seed,
     for i in range(count):
         try:
             cert = bound(net, problem, colloc.x0[i], colloc.u[i], colloc.t[i], config)
-        except Exception as exc:
-            raise RuntimeError(
+        except (ValueError, NumericError) as exc:
+            # keep the exit-code class: numeric failures stay numeric, the rest is input
+            kind = NumericError if isinstance(exc, NumericError) else ConfigurationError
+            raise kind(
                 f"certificate failed at generated point {i} "
                 f"(t={colloc.t[i]}, x0={colloc.x0[i]}, u={colloc.u[i]}): {exc}") from exc
         targets[i] = cert.total
@@ -84,7 +86,6 @@ def train_error_net(dataset: SurrogateDataset, arch, run: TrainingRun,
 
     X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
     y = dataset.targets
-    history = []
 
     def evaluate():
         tape = Tape()
@@ -97,25 +98,13 @@ def train_error_net(dataset: SurrogateDataset, arch, run: TrainingRun,
         grad = parameter_gradient(net, loss)
         return float(loss.value), float(loss.value), 0.0, grad
 
-    if run.optimizer == "adam":
-        _run_adam(net, run, evaluate, history)
-    else:
-        _run_lbfgs(net, run, evaluate, history)
-    run.loss_history = history
+    optimize(net, run, evaluate)
     return net
 
 
 def evaluate_error_net(net: Network, t, x0, u):
-    """E_NN at a batch of query points."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    B = len(t)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = np.broadcast_to(x0, (B, len(x0)))
-    u = np.asarray(u, dtype=float)
-    if u.ndim <= 1:
-        u = np.broadcast_to(u.reshape(-1), (B, u.size)) if u.size else np.zeros((B, 0))
-    X = assemble_inputs(net.meta["inputs"], t, x0, u)
+    """E_NN at a batch of query points (one (x0, u), or one row per time)."""
+    X = assemble_inputs(net.meta["inputs"], *trajectory_rows(t, x0, u))
     return _forward_any(net.weights, net.biases, net.activation, X)[:, 0]
 
 

@@ -11,11 +11,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape
-from .network import Network, bind_network, flatten_params, forward, parameter_gradient, set_params
-from .ode import ConfigurationError, OdeProblem
+from .network import (Network, _forward_any, bind_network, flatten_params, forward,
+                      parameter_gradient, set_params)
+from .ode import ConfigurationError, NumericError, OdeProblem
 
 
-class DivergenceError(RuntimeError):
+OPTIMIZERS = ("adam", "lbfgs")
+
+
+class DivergenceError(NumericError):
     def __init__(self, epoch, what="loss"):
         super().__init__(f"non-finite {what} at epoch {epoch}")
         self.epoch = epoch
@@ -33,10 +37,6 @@ class CollocationSet:
 
     def __len__(self):
         return len(self.t)
-
-    @property
-    def points(self):
-        return [(self.t[i], self.x0[i], self.u[i]) for i in range(len(self.t))]
 
 
 @dataclass
@@ -76,7 +76,7 @@ class TrainingRun:
             raise ConfigurationError("loss weights must be non-negative")
         if self.gamma_data == 0 and self.gamma_phys == 0:
             raise ConfigurationError("at least one loss weight must be positive")
-        if self.optimizer not in ("adam", "lbfgs"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -152,6 +152,19 @@ def assemble_inputs(layout, t, x0, u):
     return np.concatenate(cols, axis=1)
 
 
+def trajectory_rows(t, x0, u):
+    """Batch columns (t, x0, u) that repeat one (x0, u) at every time in ``t``.
+
+    ``x0`` and ``u`` may also hold one row per time already.  Pass the
+    result to :func:`assemble_inputs` for the network input matrix.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return (t, np.broadcast_to(x0, (len(t), x0.shape[-1])),
+            np.broadcast_to(u, (len(t), u.shape[-1])))
+
+
 # -- losses ---------------------------------------------------------------
 
 def loss_data(net: Network, dataset: DataSet, problem: OdeProblem = None):
@@ -186,7 +199,6 @@ def _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w):
     parts = {"data": 0.0, "phys": 0.0}
     total = None
     if run.gamma_data > 0 and dataset is not None and len(dataset):
-        from .network import _forward_any
         X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
         pred = _forward_any(wvars, bvars, net.activation, X)
         diff = pred - dataset.x_target
@@ -219,17 +231,27 @@ def train(net: Network, problem: OdeProblem, dataset: DataSet,
     run.validate()
     layout = infer_layout(net, problem)
     eta_w = eta_weights(run.eta, colloc.t) if colloc is not None and len(colloc) else None
-    history = []
 
     def evaluate():
         return _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w)
 
+    return net, optimize(net, run, evaluate)
+
+
+def optimize(net: Network, run: TrainingRun, evaluate):
+    """Minimize with ``run.optimizer`` in place; ``evaluate()`` returns
+    (total, data, phys, flat gradient) at the current parameters.
+
+    Returns (and stores in ``run.loss_history``) one (total, data, phys)
+    triple per completed epoch.
+    """
+    history = []
     if run.optimizer == "adam":
         _run_adam(net, run, evaluate, history)
     else:
         _run_lbfgs(net, run, evaluate, history)
     run.loss_history = history
-    return net, history
+    return history
 
 
 def _run_adam(net, run, evaluate, history):
@@ -243,17 +265,13 @@ def _run_adam(net, run, evaluate, history):
         if not np.all(np.isfinite(grad)):
             raise DivergenceError(epoch, "gradient")
         history.append((total, ld, lp))
-        step = epoch + 1
-        m = run.beta1 * m + (1.0 - run.beta1) * grad
-        v = run.beta2 * v + (1.0 - run.beta2) * grad * grad
-        m_hat = m / (1.0 - run.beta1 ** step)
-        v_hat = v / (1.0 - run.beta2 ** step)
-        theta = theta - run.lr * m_hat / (np.sqrt(v_hat) + run.eps_adam)
+        theta, m, v = adam_step(theta, grad, m, v, epoch + 1, run.lr,
+                                run.beta1, run.beta2, run.eps_adam)
         set_params(net, theta)
 
 
 def adam_step(theta, grad, m, v, step, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update (exposed for the hand-check test); returns (theta, m, v)."""
+    """One Adam update; returns (theta, m, v)."""
     m = beta1 * m + (1.0 - beta1) * grad
     v = beta2 * v + (1.0 - beta2) * grad * grad
     m_hat = m / (1.0 - beta1 ** step)

@@ -7,8 +7,7 @@ from pinncert.certify import (Certificate, CertifyConfig, DegenerateSmoothingErr
                               DomainError, ResidualFn, SmoothDelta, actual_error,
                               bound, bound_linear, bound_nonlinear,
                               estimate_K, estimate_lipschitz,
-                              export_certificates, jacobi_eigenvalues,
-                              largest_singular_value, make_delta,
+                              export_certificates, largest_singular_value, make_delta,
                               mean_residual_norm, predict_states, residual,
                               spectral_abscissa, subinterval_count,
                               trapezoid_bound_integral)
@@ -117,17 +116,6 @@ def test_delta_dominates_residual_norm(quick_decay_net):
 
 
 # -- growth constants -----------------------------------------------------
-
-def test_jacobi_matches_numpy_eigvalsh():
-    rng = np.random.default_rng(2)
-    for n in (1, 2, 3, 4, 6):
-        for _ in range(5):
-            m = rng.normal(size=(n, n))
-            a = (m + m.T) / 2
-            ours = np.sort(jacobi_eigenvalues(a))
-            ref = np.sort(np.linalg.eigvalsh(a))
-            np.testing.assert_allclose(ours, ref, atol=1e-9 * max(1, np.abs(ref).max()))
-
 
 def test_largest_singular_value_matches_numpy():
     rng = np.random.default_rng(3)
@@ -360,6 +348,42 @@ def test_linear_fallback_for_defective_matrix():
                         CertifyConfig(mu_policy="explicit", mu=0.1, colloc_count=20))
     assert "linear_fallback" in cert.constants_used
     assert cert.constants_used["mode"] == "nonlinear"
+
+
+def test_linear_and_lipschitz_routes_agree_on_scaled_identity():
+    # A = alpha I with alpha > 0: the spectral abscissa is alpha, beta = 1,
+    # so both routes run the same bound with growth rate alpha
+    alpha = 0.5
+    a = alpha * np.eye(2)
+    p = OdeProblem(name="growth", dim=2,
+                   rhs=lambda t, x, u: [alpha * x[0], alpha * x[1]],
+                   t_final=1.0, box=Box(t=(0, 1), x0=[(-1, 1), (-1, 1)]),
+                   jacobian_x=lambda t, x, u: a, linear_part=a)
+    net = init_network([1, 4, 2], seed=3, meta={"inputs": ["t"]})
+    for t in (0.0, 0.4, 1.0):
+        lin = bound_linear(net, p, [0.2, -0.1], (), t, CertifyConfig(colloc_count=50))
+        non = bound_nonlinear(net, p, [0.2, -0.1], (), t,
+                              CertifyConfig(colloc_count=50, L=alpha))
+        assert lin.constants_used["alpha"] == alpha and lin.constants_used["beta"] == 1.0
+        assert (lin.e_init, lin.i_hat, lin.e_int, lin.total) == \
+            (non.e_init, non.i_hat, non.e_int, non.total)
+
+
+@pytest.mark.parametrize("mode", ["auto", "linear", "nonlinear"])
+def test_unknown_mu_policy_rejected(quick_decay_net, mode):
+    with pytest.raises(ConfigurationError):
+        bound(quick_decay_net, decay_1d(), [2.0], (), 1.0,
+              CertifyConfig(mode=mode, mu_policy="bogus", colloc_count=20))
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_zero_expected_error_with_curvature_raises(mode):
+    # the zero net solves x' = -2x from x0 = 0 exactly, so the mean residual
+    # and the initial error vanish, while mu > 0 gives the damped majorant
+    # curvature: no finite n meets the E_Int budget
+    cfg = CertifyConfig(mode=mode, mu_policy="explicit", mu=0.3, L=2.0, colloc_count=20)
+    with pytest.raises(ConfigurationError, match="expected ML error is zero"):
+        bound(linear_time_net(0.0, 0.0), decay_1d(), [0.0], (), 1.0, cfg)
 
 
 def test_bound_dispatch(quick_decay_net):

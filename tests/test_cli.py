@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from pinncert import certify
 from pinncert.cli import main
 from pinncert.config import ExperimentConfig, load_config, preset_config, save_config
-from pinncert.network import load_network
+from pinncert.network import init_network, load_network, save_network
 from pinncert.ode import ConfigurationError
 from pinncert.presets import load_schedule, make_pendulum_schedule
 
@@ -99,6 +100,50 @@ def test_invalid_config_value_exits_2(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[certify]\ncert_mode = quadratic\n")
     assert main(["train", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mu_policy": "bogus"},
+    {"mu_policy": "explicit"},
+    {"mu_policy": "explicit", "mu": -0.1},
+    {"optimizer": "sgd"},
+    {"surr_optimizer": "sgd"},
+    {"activation": "relu"},
+    {"eps": 0.0},
+    {"eps": -0.1},
+    {"K_grid": 9},
+    {"safety_factor": 0.99},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_invalid_config_values_exit_2_at_load(tmp_path, overrides):
+    path, cfg = tiny_decay_config(tmp_path, epochs=0, **overrides)
+    with pytest.raises(ConfigurationError):
+        load_config(path)
+    assert main(["train", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()      # rejected before any work
+
+
+def test_surrogate_with_explicit_mu_missing_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[experiment]\nout_dir = {tmp_path / 'out'}\n"
+                    "[certify]\nmu_policy = explicit\n")
+    assert main(["certify", "--config", str(path)]) == 2
+    assert main(["surrogate", "--config", str(path)]) == 2
+    assert "explicit needs mu >= 0" in capsys.readouterr().err
+
+
+def test_numeric_failure_in_surrogate_data_exits_3(tmp_path, capsys, monkeypatch):
+    path, cfg = tiny_decay_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    save_network(init_network([1, 4, 1], seed=0, meta={"inputs": ["t"]}),
+                 tmp_path / "out" / "network.json")
+
+    def degenerate(*args, **kwargs):
+        raise certify.DegenerateSmoothingError("second derivative is not finite")
+
+    monkeypatch.setattr(certify, "estimate_K", degenerate)
+    assert main(["surrogate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "generated point 0" in err
 
 
 def test_divergent_training_exits_3(tmp_path):
