@@ -6,11 +6,10 @@ solution, plus a learned fast error indicator.
 """
 
 from .autodiff import Dual, Tape, Var
-from .certify import (Certificate, CertifyConfig, ResidualFn, SmoothDelta,
+from .certify import (Certificate, Certifier, CertifyConfig, ResidualFn, SmoothDelta,
                       actual_error, bound, bound_linear, bound_nonlinear,
-                      estimate_K, estimate_lipschitz, make_delta,
-                      mean_residual_norm, residual, subinterval_count,
-                      trapezoid_bound_integral)
+                      estimate_K, estimate_lipschitz, mean_residual_norm,
+                      subinterval_count, trapezoid_bound_integral)
 from .network import (Network, forward, init_network, input_jacobian,
                       load_network, parameter_gradient, save_network)
 from .ode import OdeProblem, Trajectory, decay_1d, inverted_pendulum, solve_reference

@@ -13,7 +13,7 @@ validation plots and is never consulted by the bound itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,16 +54,9 @@ def residual_batch_columns(weights, biases, activation, layout, problem,
     return [ydot[:, i] - f_cols[i] for i in range(problem.dim)]
 
 
-def residual(net: Network, problem: OdeProblem, x0, u, t):
-    """R(t) = d/dt phihat(t) - f(t, phihat(t)), via forward-mode autodiff."""
-    if not (0.0 <= t <= problem.t_final):
-        raise DomainError(f"t={t} outside the time horizon [0, {problem.t_final}]")
-    return ResidualFn(net, problem, x0, u)(t)[0]
-
-
 @dataclass
 class ResidualFn:
-    """t -> R(t) for fixed (net, problem, x0, u); vectorized over t."""
+    """t -> R(t) = d/dt phihat - f(t, phihat) for fixed (net, problem, x0, u); vectorized."""
 
     net: Network
     problem: OdeProblem
@@ -111,27 +104,6 @@ class SmoothDelta:
 
 
 MU_POLICIES = ("tenth_of_mean", "explicit")
-
-
-def make_delta(residual_fn: ResidualFn, mu_policy="tenth_of_mean",
-               colloc: CollocationSet = None, mu: float = None,
-               mean_residual: float = None) -> SmoothDelta:
-    """Build the smooth residual majorant with the chosen mu policy.
-
-    ``tenth_of_mean`` takes a tenth of ``mean_residual`` when given, else
-    of the mean residual norm over ``colloc``.
-    """
-    if mu_policy == "explicit":
-        if mu is None or mu < 0:
-            raise ConfigurationError("explicit mu policy needs mu >= 0")
-        return SmoothDelta(residual_fn, float(mu))
-    if mu_policy == "tenth_of_mean":
-        if mean_residual is None:
-            if colloc is None:
-                raise ConfigurationError("tenth_of_mean policy needs a collocation set")
-            mean_residual = mean_residual_norm(residual_fn.net, residual_fn.problem, colloc)
-        return SmoothDelta(residual_fn, 0.1 * mean_residual)
-    raise ConfigurationError(f"unknown mu policy {mu_policy!r}")
 
 
 # -- growth constants -----------------------------------------------------
@@ -276,29 +248,81 @@ class CertifyConfig:
     cond_limit: float = 1e12        # eigenvector conditioning limit for beta
 
 
-def _growth_bound(net, problem, x0, u, t, config, colloc, rate, beta, growth):
-    """E_init + I_hat + E_Int for the error growth factor beta * e^{rate t}.
-
-    (rate, beta) is (L, 1) on the Lipschitz route and (alpha, beta) for a
-    linear system; the dict ``growth`` names them in ``constants_used``.
+class Certifier:
+    """The per-network constants of the certificate, computed once: the
+    growth pair (rate, beta), the mean residual over the certification
+    collocation and mu.  :meth:`trajectory` adds the per-(x0, u) constants
+    and :func:`bound` the per-time quadrature.
     """
-    if not (0.0 <= t <= problem.t_final):
-        raise DomainError(f"t={t} outside the time horizon")
-    x0 = np.asarray(x0, dtype=float)
-    rbar = mean_residual_norm(net, problem, colloc)
-    delta = make_delta(ResidualFn(net, problem, x0, u), config.mu_policy,
-                       mu=config.mu, mean_residual=rbar)
-    init_error = float(np.linalg.norm(x0 - predict_states(net, problem, x0, u, 0.0)[0]))
-    K = estimate_K(delta, rate, problem.t_final, config.K_grid, config.safety_factor)
+
+    def __init__(self, net: Network, problem: OdeProblem, config: CertifyConfig = None):
+        config = config or CertifyConfig()
+        if config.mu_policy not in MU_POLICIES:
+            raise ConfigurationError(f"unknown mu policy {config.mu_policy!r}")
+        if config.mu_policy == "explicit" and (config.mu is None or config.mu < 0):
+            raise ConfigurationError("explicit mu policy needs mu >= 0")
+        self.net, self.problem, self.config = net, problem, config
+        # L / mu sampling is denser than typical training collocation to reduce
+        # the risk of underestimating L
+        colloc = sample_collocation(problem, config.colloc_count, config.colloc_seed)
+        self.rate, self.beta, self.growth = self._growth_pair(colloc)
+        self.mean_residual = mean_residual_norm(net, problem, colloc)
+        self.mu = (float(config.mu) if config.mu_policy == "explicit"
+                   else 0.1 * self.mean_residual)
+
+    def _growth_pair(self, colloc):
+        """(rate, beta) and their ``constants_used`` entries."""
+        problem, config = self.problem, self.config
+        fallback = {}
+        if config.mode == "linear" or (config.mode == "auto" and problem.linear_part is not None):
+            if problem.linear_part is None:
+                raise ConfigurationError("linear mode needs problem.linear_part")
+            a = np.asarray(problem.linear_part, dtype=float)
+            cond = np.linalg.cond(np.linalg.eig(a)[1])
+            if np.isfinite(cond) and cond <= config.cond_limit:
+                alpha = spectral_abscissa(a)
+                # normal A admits beta = 1; otherwise the eigenvector conditioning pays
+                beta = 1.0 if np.allclose(a @ a.T, a.T @ a, atol=1e-12) else float(cond)
+                return alpha, beta, {"mode": "linear", "alpha": alpha, "beta": beta}
+            fallback = {"linear_fallback": "eigenvector matrix ill-conditioned"}
+        L = config.L if config.L is not None else estimate_lipschitz(problem, colloc)
+        return L, 1.0, {"mode": "nonlinear", "L": L, **fallback}
+
+    def trajectory(self, x0, u) -> TrajectoryConstants:
+        """The per-(x0, u) constants: the smooth majorant delta, ||e(0)|| and K."""
+        x0 = np.asarray(x0, dtype=float)
+        delta = SmoothDelta(ResidualFn(self.net, self.problem, x0, u), self.mu)
+        init_error = float(np.linalg.norm(
+            x0 - predict_states(self.net, self.problem, x0, u, 0.0)[0]))
+        K = estimate_K(delta, self.rate, self.problem.t_final, self.config.K_grid,
+                       self.config.safety_factor)
+        return TrajectoryConstants(self, delta, init_error, K)
+
+
+@dataclass
+class TrajectoryConstants:
+    """What :meth:`Certifier.trajectory` computed for one (x0, u)."""
+
+    certifier: Certifier
+    delta: SmoothDelta
+    init_error: float
+    K: float
+
+
+def bound(traj: TrajectoryConstants, t) -> Certificate:
+    """E_init + I_hat + E_Int at time t; only n and the trapezoid depend on t."""
+    c, config = traj.certifier, traj.certifier.config
+    if not (0.0 <= t <= c.problem.t_final):
+        raise DomainError(f"t={t} outside the time horizon [0, {c.problem.t_final}]")
     n = config.n if config.n is not None else subinterval_count(
-        t, init_error, max(rate, 1e-6), K, rbar, config.eps)
-    e_init = beta * math.exp(rate * t) * init_error
-    i_hat, e_int = trapezoid_bound_integral(delta, rate, t, n, K)
-    i_hat, e_int = beta * i_hat, beta * e_int
+        t, traj.init_error, max(c.rate, 1e-6), traj.K, c.mean_residual, config.eps)
+    e_init = c.beta * math.exp(c.rate * t) * traj.init_error
+    i_hat, e_int = trapezoid_bound_integral(traj.delta, c.rate, t, n, traj.K)
+    i_hat, e_int = c.beta * i_hat, c.beta * e_int
     constants = {"eps": config.eps, "mu_policy": config.mu_policy,
                  "K_grid": config.K_grid, "safety_factor": config.safety_factor,
-                 **growth, "K": K, "n_subintervals": n, "mu": delta.mu,
-                 "mean_residual": rbar}
+                 **c.growth, "K": traj.K, "n_subintervals": n, "mu": c.mu,
+                 "mean_residual": c.mean_residual}
     return Certificate(t=float(t), e_init=e_init, i_hat=i_hat, e_int=e_int,
                        total=e_init + i_hat + e_int, constants_used=constants)
 
@@ -306,41 +330,15 @@ def _growth_bound(net, problem, x0, u, t, config, colloc, rate, beta, growth):
 def bound_nonlinear(net: Network, problem: OdeProblem, x0, u, t,
                     config: CertifyConfig = None) -> Certificate:
     """Certified bound e^{Lt}||e(0)|| + I_hat + E_Int (Lipschitz route)."""
-    config = config or CertifyConfig()
-    # L / mu sampling is denser than typical training collocation to reduce
-    # the risk of underestimating L
-    colloc = sample_collocation(problem, config.colloc_count, config.colloc_seed)
-    L = config.L if config.L is not None else estimate_lipschitz(problem, colloc)
-    return _growth_bound(net, problem, x0, u, t, config, colloc, L, 1.0,
-                         {"mode": "nonlinear", "L": L})
+    config = replace(config or CertifyConfig(), mode="nonlinear")
+    return bound(Certifier(net, problem, config).trajectory(x0, u), t)
 
 
 def bound_linear(net: Network, problem: OdeProblem, x0, u, t,
                  config: CertifyConfig = None) -> Certificate:
     """Sharper bound for linear systems using the spectral abscissa."""
-    config = config or CertifyConfig()
-    if problem.linear_part is None:
-        raise ConfigurationError("bound_linear needs problem.linear_part")
-    a = np.asarray(problem.linear_part, dtype=float)
-    alpha = spectral_abscissa(a)
-    cond = np.linalg.cond(np.linalg.eig(a)[1])
-    if not np.isfinite(cond) or cond > config.cond_limit:
-        cert = bound_nonlinear(net, problem, x0, u, t, config)
-        cert.constants_used["linear_fallback"] = "eigenvector matrix ill-conditioned"
-        return cert
-    # normal A admits beta = 1; otherwise the eigenvector conditioning pays
-    beta = 1.0 if np.allclose(a @ a.T, a.T @ a, atol=1e-12) else float(cond)
-    colloc = sample_collocation(problem, config.colloc_count, config.colloc_seed)
-    return _growth_bound(net, problem, x0, u, t, config, colloc, alpha, beta,
-                         {"mode": "linear", "alpha": alpha, "beta": beta})
-
-
-def bound(net, problem, x0, u, t, config: CertifyConfig = None) -> Certificate:
-    """Dispatch on config.mode / problem linearity."""
-    config = config or CertifyConfig()
-    if config.mode == "linear" or (config.mode == "auto" and problem.linear_part is not None):
-        return bound_linear(net, problem, x0, u, t, config)
-    return bound_nonlinear(net, problem, x0, u, t, config)
+    config = replace(config or CertifyConfig(), mode="linear")
+    return bound(Certifier(net, problem, config).trajectory(x0, u), t)
 
 
 def predict_states(net: Network, problem: OdeProblem, x0, u, t_grid):

@@ -62,51 +62,40 @@ def cmd_train(args):
     return 0
 
 
-def _certify_grid(cfg, net, problem, ccfg, with_reference):
-    t_grid = np.linspace(0.0, problem.t_final, cfg.query_points)
-    x0 = np.array([lo for lo, hi in problem.box.x0])   # degenerate box: fixed x0
-    u = np.zeros(problem.control_dim)
-    certs = [cert.bound(net, problem, x0, u, t, ccfg) for t in t_grid]
-    actual = cert.actual_error(net, problem, x0, u, t_grid) if with_reference else None
-    return certs, actual
-
-
-def _certify_schedule(cfg, net, problem, ccfg, schedule, n_intervals,
-                      times_per_interval, with_reference):
-    dt = presets.SCHEDULE_T_TOTAL / presets.SCHEDULE_INTERVALS
-    certs, actual = [], [] if with_reference else None
-    for t_start, x0, u in schedule[:n_intervals]:
-        local = np.linspace(0.0, dt, times_per_interval)
-        for t in local:
-            c = cert.bound(net, problem, x0, [u], t, ccfg)
-            c.t = t_start + t          # report global time
-            c.constants_used["interval_t_start"] = t_start
-            certs.append(c)
-        if with_reference:
-            actual.extend(cert.actual_error(net, problem, x0, [u], local))
-    return certs, (np.array(actual) if with_reference else None)
+def _trajectories(cfg, problem, args):
+    """(t_start, x0, u, local times) of each certified trajectory."""
+    if args.schedule:
+        if cfg.preset != "pendulum":
+            raise ConfigurationError("control schedules apply to the pendulum preset only")
+        local = np.linspace(0.0, presets.SCHEDULE_T_TOTAL / presets.SCHEDULE_INTERVALS,
+                            args.times_per_interval)
+        return [(t_start, x0, [u], local)
+                for t_start, x0, u in presets.load_schedule(args.schedule)[:args.intervals]]
+    if not all(lo == hi for lo, hi in problem.box.x0):
+        raise ConfigurationError(f"{problem.name} has no single initial value to certify "
+                                 "on the query grid; pass a control schedule with --schedule")
+    return [(None, np.array([lo for lo, _ in problem.box.x0]), np.zeros(problem.control_dim),
+             np.linspace(0.0, problem.t_final, cfg.query_points))]
 
 
 def cmd_certify(args):
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
     problem = presets.build_problem(cfg)
+    trajectories = _trajectories(cfg, problem, args)
     net = load_network(args.network or Path(cfg.out_dir) / "network.json")
-    ccfg = presets.certify_config(cfg)
-    if ccfg.mode != "linear" and ccfg.L is None and problem.linear_part is None:
-        # estimate L once for the whole query set, at certification density
-        colloc = sample_collocation(problem, ccfg.colloc_count, ccfg.colloc_seed)
-        ccfg.L = cert.estimate_lipschitz(problem, colloc)
-        print(f"estimated Lipschitz constant L = {ccfg.L:.6g}")
-    if args.schedule:
-        if cfg.preset != "pendulum":
-            raise ConfigurationError("control schedules apply to the pendulum preset only")
-        schedule = presets.load_schedule(args.schedule)
-        certs, actual = _certify_schedule(
-            cfg, net, problem, ccfg, schedule, args.intervals,
-            args.times_per_interval, args.with_reference)
-    else:
-        certs, actual = _certify_grid(cfg, net, problem, ccfg, args.with_reference)
+    certifier = cert.Certifier(net, problem, presets.certify_config(cfg))
+    certs, actual = [], [] if args.with_reference else None
+    for t_start, x0, u, times in trajectories:
+        traj = certifier.trajectory(x0, u)
+        for t in times:
+            c = cert.bound(traj, t)
+            if t_start is not None:
+                c.t = t_start + t          # report global time
+                c.constants_used["interval_t_start"] = t_start
+            certs.append(c)
+        if actual is not None:
+            actual.extend(cert.actual_error(net, problem, x0, u, times))
     path = out / "certificates.csv"
     cert.export_certificates(certs, path, actual)
     if actual is not None:
@@ -135,22 +124,25 @@ def cmd_surrogate(args):
                                         under_weight=cfg.surr_under_weight)
     save_network(err_net, out / "errornet.json")
 
-    # held-out comparison
-    held = sample_collocation(problem, cfg.surr_holdout, cfg.seed + 31)
-    if cfg.preset == "decay1d":
-        held.t = np.linspace(0.0, problem.t_final, cfg.surr_holdout)
-    e_cert = np.array([
-        cert.bound(net, problem, held.x0[i], held.u[i], held.t[i], ccfg).total
-        for i in range(cfg.surr_holdout)])
+    # held-out comparison; a problem with one initial value (its x0 box is a
+    # point) holds out on the certify query grid, so `compare` can pair the rows
+    on_grid = all(lo == hi for lo, hi in problem.box.x0)
+    count = cfg.query_points if on_grid else cfg.surr_holdout
+    held = sample_collocation(problem, count, cfg.seed + 31)
+    if on_grid:
+        held.t = np.linspace(0.0, problem.t_final, count)
+    certifier = cert.Certifier(net, problem, ccfg)
+    e_cert = np.array([cert.bound(certifier.trajectory(held.x0[i], held.u[i]), held.t[i]).total
+                       for i in range(count)])
     e_nn = np.array([
         surrogate.evaluate_error_net(err_net, held.t[i], held.x0[i], held.u[i])[0]
-        for i in range(cfg.surr_holdout)])
+        for i in range(count)])
     path = out / "surrogate_comparison.csv"
     n = problem.dim
     with open(path, "w") as fh:
         fh.write("t," + ",".join(f"x0_{i + 1}" for i in range(n))
                  + (",u" if problem.control_dim else "") + ",e_certified,e_nn\n")
-        for i in range(cfg.surr_holdout):
+        for i in range(count):
             row = [held.t[i], *held.x0[i], *held.u[i], e_cert[i], e_nn[i]]
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     frac = float(np.mean(e_nn >= e_cert))

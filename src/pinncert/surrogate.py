@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
-from .certify import CertifyConfig, bound
+from .autodiff import Tape, Var
+from .certify import Certifier, CertifyConfig, bound
 from .network import Network, _forward_any, bind_network, init_network, parameter_gradient
 from .ode import ConfigurationError, NumericError, OdeProblem
 from .train import TrainingRun, assemble_inputs, optimize, sample_collocation, trajectory_rows
@@ -35,29 +35,33 @@ class SurrogateDataset:
 def generate_surrogate_data(net: Network, problem: OdeProblem, count, seed,
                             config: CertifyConfig = None) -> SurrogateDataset:
     """Certify ``count`` seeded random domain points and record the totals."""
-    config = config or CertifyConfig()
+    certifier = Certifier(net, problem, config)
     colloc = sample_collocation(problem, count, seed)
     targets = np.empty(count)
     for i in range(count):
         try:
-            cert = bound(net, problem, colloc.x0[i], colloc.u[i], colloc.t[i], config)
+            targets[i] = bound(certifier.trajectory(colloc.x0[i], colloc.u[i]),
+                               colloc.t[i]).total
         except (ValueError, NumericError) as exc:
             # keep the exit-code class: numeric failures stay numeric, the rest is input
             kind = NumericError if isinstance(exc, NumericError) else ConfigurationError
             raise kind(
                 f"certificate failed at generated point {i} "
                 f"(t={colloc.t[i]}, x0={colloc.x0[i]}, u={colloc.u[i]}): {exc}") from exc
-        targets[i] = cert.total
     return SurrogateDataset(t=colloc.t, x0=colloc.x0, u=colloc.u,
                             targets=targets, seed=seed)
 
 
 def asymmetric_loss(pred, target, under_weight):
-    """Squared error, scaled by ``under_weight`` when pred < target."""
+    """Mean squared error, each term scaled by ``under_weight`` where pred < target.
+
+    Works on arrays and tape ``Var``s; no gradient flows through the weights.
+    """
     if under_weight < 1:
         raise ConfigurationError("under_weight must be >= 1")
-    err = (pred - target) ** 2
-    return float(err * (under_weight if pred < target else 1.0))
+    diff = pred - target
+    w = np.where((pred.value if isinstance(pred, Var) else pred) < target, under_weight, 1.0)
+    return (w * diff * diff).mean()
 
 
 def train_error_net(dataset: SurrogateDataset, arch, run: TrainingRun,
@@ -91,10 +95,7 @@ def train_error_net(dataset: SurrogateDataset, arch, run: TrainingRun,
         tape = Tape()
         wvars, bvars = bind_network(tape, net)
         pred = _forward_any(wvars, bvars, net.activation, X)[:, 0]
-        diff = pred - y
-        # weighting mask is piecewise constant: no gradient flows through it
-        w = np.where(pred.value < y, under_weight, 1.0)
-        loss = (w * diff * diff).mean()
+        loss = asymmetric_loss(pred, y, under_weight)
         grad = parameter_gradient(net, loss)
         return float(loss.value), float(loss.value), 0.0, grad
 

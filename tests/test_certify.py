@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pinncert.certify import (Certificate, CertifyConfig, DegenerateSmoothingError,
-                              DomainError, ResidualFn, SmoothDelta, actual_error,
-                              bound, bound_linear, bound_nonlinear,
-                              estimate_K, estimate_lipschitz,
-                              export_certificates, largest_singular_value, make_delta,
-                              mean_residual_norm, predict_states, residual,
+from pinncert.certify import (Certificate, Certifier, CertifyConfig,
+                              DegenerateSmoothingError, DomainError, ResidualFn,
+                              SmoothDelta, actual_error, bound, bound_linear,
+                              bound_nonlinear, estimate_K, estimate_lipschitz,
+                              export_certificates, largest_singular_value,
+                              mean_residual_norm, predict_states,
                               spectral_abscissa, subinterval_count,
                               trapezoid_bound_integral)
 from pinncert.network import Network, init_network
@@ -48,23 +48,26 @@ def quick_decay_net():
 def test_residual_symbolic_hand_case():
     # candidate 2 - 4t for x' = -2x: R(t) = -4 + 2(2 - 4t) = -8t
     net = linear_time_net(-4.0, 2.0)
-    r = residual(net, decay_1d(), [2.0], (), 0.5)
+    r = ResidualFn(net, decay_1d(), [2.0], ())(0.5)[0]
     assert r[0] == pytest.approx(-4.0, rel=1e-12)
 
 
-def test_residual_outside_horizon_rejected():
+def test_certifier_bound_outside_horizon_rejected():
     net = linear_time_net(-4.0, 2.0)
+    cfg = CertifyConfig(mu_policy="explicit", mu=0.1, colloc_count=20)
+    traj = Certifier(net, decay_1d(), cfg).trajectory([2.0], ())
     with pytest.raises(DomainError):
-        residual(net, decay_1d(), [2.0], (), 2.5)
+        bound(traj, 2.5)
     with pytest.raises(DomainError):
-        residual(net, decay_1d(), [2.0], (), -0.1)
+        bound(traj, -0.1)
 
 
 def test_residual_matches_finite_difference_derivative(quick_decay_net):
     problem = decay_1d()
+    rfn = ResidualFn(quick_decay_net, problem, [2.0], ())
     h = 1e-6
     for t in (0.3, 1.1, 1.9):
-        r = residual(quick_decay_net, problem, [2.0], (), t)[0]
+        r = rfn(t)[0, 0]
         x_plus = predict_states(quick_decay_net, problem, [2.0], (), [t + h])[0, 0]
         x_minus = predict_states(quick_decay_net, problem, [2.0], (), [t - h])[0, 0]
         x_here = predict_states(quick_decay_net, problem, [2.0], (), [t])[0, 0]
@@ -92,19 +95,23 @@ def test_smooth_delta_pythagorean():
     assert delta(3.0 / 8.0) == pytest.approx(5.0, rel=1e-12)
 
 
-def test_make_delta_policies():
+def test_certifier_mu_policies():
+    # |R(t)| = 8t for the candidate 2 - 4t, so the mean residual over the
+    # certification collocation is the mean of 8t over its sampled times
     problem = decay_1d()
     net = linear_time_net(-4.0, 2.0)
-    rfn = ResidualFn(net, problem, np.array([2.0]), np.zeros(0))
-    colloc = CollocationSet(t=np.array([1.0 / 8.0, 3.0 / 8.0]),
-                            x0=np.full((2, 1), 2.0), u=np.zeros((2, 0)),
-                            seed=0, box=problem.box)
-    assert make_delta(rfn, "tenth_of_mean", colloc).mu == pytest.approx(0.2, rel=1e-12)
-    assert make_delta(rfn, "explicit", mu=0.5).mu == 0.5
-    with pytest.raises(ConfigurationError):
-        make_delta(rfn, "explicit", mu=-1.0)
-    with pytest.raises(ConfigurationError):
-        make_delta(rfn, "median")
+    colloc = sample_collocation(problem, 30, seed=4)
+    tenth = Certifier(net, problem, CertifyConfig(colloc_count=30, colloc_seed=4))
+    assert tenth.mean_residual == pytest.approx(np.mean(8.0 * colloc.t), rel=1e-12)
+    assert tenth.mu == 0.1 * tenth.mean_residual
+    explicit = Certifier(net, problem, CertifyConfig(mu_policy="explicit", mu=0.5,
+                                                     colloc_count=30, colloc_seed=4))
+    assert explicit.mu == 0.5 and explicit.mean_residual == tenth.mean_residual
+    for bad in (CertifyConfig(mu_policy="explicit", mu=-1.0),
+                CertifyConfig(mu_policy="explicit"),
+                CertifyConfig(mu_policy="median")):
+        with pytest.raises(ConfigurationError):
+            Certifier(net, problem, bad)
 
 
 def test_delta_dominates_residual_norm(quick_decay_net):
@@ -372,8 +379,8 @@ def test_linear_and_lipschitz_routes_agree_on_scaled_identity():
 @pytest.mark.parametrize("mode", ["auto", "linear", "nonlinear"])
 def test_unknown_mu_policy_rejected(quick_decay_net, mode):
     with pytest.raises(ConfigurationError):
-        bound(quick_decay_net, decay_1d(), [2.0], (), 1.0,
-              CertifyConfig(mode=mode, mu_policy="bogus", colloc_count=20))
+        Certifier(quick_decay_net, decay_1d(),
+                  CertifyConfig(mode=mode, mu_policy="bogus", colloc_count=20))
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
@@ -382,16 +389,38 @@ def test_zero_expected_error_with_curvature_raises(mode):
     # and the initial error vanish, while mu > 0 gives the damped majorant
     # curvature: no finite n meets the E_Int budget
     cfg = CertifyConfig(mode=mode, mu_policy="explicit", mu=0.3, L=2.0, colloc_count=20)
+    traj = Certifier(linear_time_net(0.0, 0.0), decay_1d(), cfg).trajectory([0.0], ())
     with pytest.raises(ConfigurationError, match="expected ML error is zero"):
-        bound(linear_time_net(0.0, 0.0), decay_1d(), [0.0], (), 1.0, cfg)
+        bound(traj, 1.0)
 
 
 def test_bound_dispatch(quick_decay_net):
     problem = decay_1d()
-    auto = bound(quick_decay_net, problem, [2.0], (), 1.0, CertifyConfig(mode="auto"))
-    assert auto.constants_used["mode"] == "linear"
-    non = bound(quick_decay_net, problem, [2.0], (), 1.0, CertifyConfig(mode="nonlinear"))
-    assert non.constants_used["mode"] == "nonlinear"
+    auto = Certifier(quick_decay_net, problem, CertifyConfig(mode="auto"))
+    assert auto.growth == {"mode": "linear", "alpha": -2.0, "beta": 1.0}
+    assert bound(auto.trajectory([2.0], ()), 1.0).constants_used["mode"] == "linear"
+    non = Certifier(quick_decay_net, problem, CertifyConfig(mode="nonlinear"))
+    assert non.rate == pytest.approx(2.0, abs=1e-12) and non.beta == 1.0
+    assert bound(non.trajectory([2.0], ()), 1.0).constants_used["mode"] == "nonlinear"
+
+
+def test_certifier_reproduces_bound_linear_on_decay(quick_decay_net):
+    # one Certifier and one trajectory serve every time, field for field
+    problem = decay_1d()
+    cfg = CertifyConfig(colloc_count=50)
+    traj = Certifier(quick_decay_net, problem, cfg).trajectory([2.0], ())
+    for t in (0.0, 0.3, 1.0, 2.0):
+        assert bound(traj, t) == bound_linear(quick_decay_net, problem, [2.0], (), t, cfg)
+
+
+def test_certifier_reproduces_bound_nonlinear_on_pendulum():
+    problem = inverted_pendulum()
+    net = init_network([6, 8, 4], seed=2, meta={"inputs": ["t", "x0", "u"]})
+    cfg = CertifyConfig(mode="nonlinear", colloc_count=50, K_grid=40)
+    x0, u = np.array([0.1, -0.2, 0.05, 0.3]), np.array([2.0])
+    traj = Certifier(net, problem, cfg).trajectory(x0, u)
+    for t in np.linspace(0.0, problem.t_final, 4):
+        assert bound(traj, t) == bound_nonlinear(net, problem, x0, u, t, cfg)
 
 
 def test_certificate_components_sum_and_sign(quick_decay_net):

@@ -6,7 +6,7 @@ from pinncert.cli import main
 from pinncert.config import ExperimentConfig, load_config, preset_config, save_config
 from pinncert.network import init_network, load_network, save_network
 from pinncert.ode import ConfigurationError
-from pinncert.presets import load_schedule, make_pendulum_schedule
+from pinncert.presets import export_schedule, load_schedule, make_pendulum_schedule
 
 
 def tiny_decay_config(tmp_path, **overrides):
@@ -84,12 +84,82 @@ def test_surrogate_command_writes_artifacts(tmp_path, capsys):
     assert (out / "errornet.json").exists()
     assert (out / "surrogate_data.csv").exists()
     comparison = np.loadtxt(out / "surrogate_comparison.csv", delimiter=",", skiprows=1)
-    assert comparison.shape == (20, 4)
+    assert comparison.shape == (cfg.query_points, 4)    # held out on the query grid
     # reuse of the saved dataset gives identical results
     first = (out / "errornet.json").read_bytes()
     assert main(["surrogate", "--config", str(path),
                  "--data", str(out / "surrogate_data.csv")]) == 0
     assert (out / "errornet.json").read_bytes() == first
+
+
+def test_decay_readme_chain_exits_0(tmp_path):
+    # the held-out comparison sits on the certify grid, so compare pairs the rows
+    path, cfg = tiny_decay_config(tmp_path)
+    for step in (["train"], ["certify", "--with-reference"], ["surrogate"]):
+        assert main(step + ["--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["compare", str(out / "certificates.csv"),
+                 str(out / "surrogate_comparison.csv")]) == 0
+    certs = np.loadtxt(out / "certificates.csv", delimiter=",", skiprows=1)
+    comparison = np.loadtxt(out / "surrogate_comparison.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(comparison[:, 0], certs[:, 0])
+    np.testing.assert_array_equal(comparison[:, 2], certs[:, 4])
+
+
+def tiny_pendulum_setup(tmp_path):
+    """A small random pendulum net, a synthetic schedule and a cheap config."""
+    cfg = preset_config("pendulum")
+    cfg.cert_colloc_count = 40
+    cfg.K_grid = 20
+    cfg.surr_count = 3
+    cfg.surr_holdout = 2
+    cfg.surr_hidden = [4]
+    cfg.surr_epochs = 5
+    cfg.out_dir = str(tmp_path / "out")
+    path = tmp_path / "exp.ini"
+    save_config(cfg, path)
+    (tmp_path / "out").mkdir()
+    save_network(init_network([6, 8, 4], seed=0, meta={"inputs": ["t", "x0", "u"]}),
+                 tmp_path / "out" / "network.json")
+    schedule = tmp_path / "schedule.csv"
+    export_schedule([(0.08 * i, np.array([0.1, 0.0, 0.0, 0.0]), 1.0) for i in range(50)],
+                    schedule)
+    return path, schedule
+
+
+def _count_calls(monkeypatch, module, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_pendulum_certify_computes_network_constants_once(tmp_path, monkeypatch):
+    path, schedule = tiny_pendulum_setup(tmp_path)
+    calls = _count_calls(monkeypatch, certify, "mean_residual_norm", "estimate_lipschitz")
+    assert main(["certify", "--config", str(path), "--schedule", str(schedule),
+                 "--intervals", "2", "--times-per-interval", "3"]) == 0
+    assert calls == {"mean_residual_norm": 1, "estimate_lipschitz": 1}
+    data = np.loadtxt(tmp_path / "out" / "certificates.csv", delimiter=",", skiprows=1)
+    assert data.shape == (6, 5)
+
+
+def test_pendulum_surrogate_estimates_L_once_per_certifier(tmp_path, monkeypatch):
+    # one estimate for the generated data and one for the held-out points
+    path, _ = tiny_pendulum_setup(tmp_path)
+    calls = _count_calls(monkeypatch, certify, "estimate_lipschitz")
+    assert main(["surrogate", "--config", str(path)]) == 0
+    assert calls["estimate_lipschitz"] <= 2
+
+
+def test_pendulum_certify_without_schedule_exits_2(tmp_path, capsys):
+    path, _ = tiny_pendulum_setup(tmp_path)
+    assert main(["certify", "--config", str(path)]) == 2
+    assert "--schedule" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
 
 
 def test_unknown_config_file_exits_2(tmp_path):

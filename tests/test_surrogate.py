@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pinncert.certify import CertifyConfig, bound
+from pinncert.certify import Certifier, CertifyConfig, bound
 from pinncert.network import init_network
 from pinncert.ode import ConfigurationError, decay_1d
 from pinncert.surrogate import (SurrogateDataset, asymmetric_loss,
@@ -34,6 +34,11 @@ def test_asymmetric_loss_hand_values():
 def test_asymmetric_loss_rejects_weight_below_one():
     with pytest.raises(ConfigurationError):
         asymmetric_loss(1.0, 1.0, 0.5)
+
+
+def test_array_loss_is_mean_of_weighted_terms():
+    pred, target = np.array([0.9, 1.1, 1.0]), np.ones(3)
+    assert asymmetric_loss(pred, target, 1000.0) == pytest.approx((10.0 + 0.01) / 3, rel=1e-12)
 
 
 @given(a=finite, b=finite)
@@ -76,8 +81,9 @@ def test_generate_matches_direct_bounds(quick_decay_net):
     problem = decay_1d()
     cfg = CertifyConfig(colloc_count=50)
     ds = generate_surrogate_data(quick_decay_net, problem, 4, seed=9, config=cfg)
+    certifier = Certifier(quick_decay_net, problem, cfg)
     for i in range(4):
-        direct = bound(quick_decay_net, problem, ds.x0[i], ds.u[i], ds.t[i], cfg)
+        direct = bound(certifier.trajectory(ds.x0[i], ds.u[i]), ds.t[i])
         assert ds.targets[i] == direct.total
 
 
