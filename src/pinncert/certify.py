@@ -18,10 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Dual
-from .network import Network, _forward_any
-from .ode import ConfigurationError, NumericError, OdeProblem, solve_reference
-from .train import (CollocationSet, assemble_inputs, infer_layout, sample_collocation,
-                    trajectory_rows)
+from .network import Network, _forward_any, assemble_inputs, infer_layout, trajectory_rows
+from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
+                  sample_collocation, solve_reference)
 
 
 class DomainError(ValueError):
@@ -149,6 +148,7 @@ def spectral_abscissa(a):
 
 
 DEFAULT_SAFETY_FACTOR = 1.5
+COND_LIMIT = 1e12       # eigenvector conditioning limit for beta on the linear route
 
 
 def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FACTOR):
@@ -245,14 +245,13 @@ class CertifyConfig:
     n: int = None                   # explicit trapezoid subintervals
     colloc_count: int = 400         # sampling density for L / mean residual
     colloc_seed: int = 1
-    cond_limit: float = 1e12        # eigenvector conditioning limit for beta
 
 
 class Certifier:
     """The per-network constants of the certificate, computed once: the
     growth pair (rate, beta), the mean residual over the certification
-    collocation and mu.  :meth:`trajectory` adds the per-(x0, u) constants
-    and :func:`bound` the per-time quadrature.
+    collocation and mu.  :meth:`trajectory` adds the per-(x0, u) constants,
+    once per distinct (x0, u), and :func:`bound` the per-time quadrature.
     """
 
     def __init__(self, net: Network, problem: OdeProblem, config: CertifyConfig = None):
@@ -269,6 +268,7 @@ class Certifier:
         self.mean_residual = mean_residual_norm(net, problem, colloc)
         self.mu = (float(config.mu) if config.mu_policy == "explicit"
                    else 0.1 * self.mean_residual)
+        self._trajectories = {}
 
     def _growth_pair(self, colloc):
         """(rate, beta) and their ``constants_used`` entries."""
@@ -279,7 +279,7 @@ class Certifier:
                 raise ConfigurationError("linear mode needs problem.linear_part")
             a = np.asarray(problem.linear_part, dtype=float)
             cond = np.linalg.cond(np.linalg.eig(a)[1])
-            if np.isfinite(cond) and cond <= config.cond_limit:
+            if np.isfinite(cond) and cond <= COND_LIMIT:
                 alpha = spectral_abscissa(a)
                 # normal A admits beta = 1; otherwise the eigenvector conditioning pays
                 beta = 1.0 if np.allclose(a @ a.T, a.T @ a, atol=1e-12) else float(cond)
@@ -290,13 +290,16 @@ class Certifier:
 
     def trajectory(self, x0, u) -> TrajectoryConstants:
         """The per-(x0, u) constants: the smooth majorant delta, ||e(0)|| and K."""
-        x0 = np.asarray(x0, dtype=float)
-        delta = SmoothDelta(ResidualFn(self.net, self.problem, x0, u), self.mu)
-        init_error = float(np.linalg.norm(
-            x0 - predict_states(self.net, self.problem, x0, u, 0.0)[0]))
-        K = estimate_K(delta, self.rate, self.problem.t_final, self.config.K_grid,
-                       self.config.safety_factor)
-        return TrajectoryConstants(self, delta, init_error, K)
+        x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
+        key = (x0.tobytes(), u.tobytes())
+        if key not in self._trajectories:
+            delta = SmoothDelta(ResidualFn(self.net, self.problem, x0, u), self.mu)
+            init_error = float(np.linalg.norm(
+                x0 - predict_states(self.net, self.problem, x0, u, 0.0)[0]))
+            K = estimate_K(delta, self.rate, self.problem.t_final, self.config.K_grid,
+                           self.config.safety_factor)
+            self._trajectories[key] = TrajectoryConstants(self, delta, init_error, K)
+        return self._trajectories[key]
 
 
 @dataclass
@@ -365,7 +368,7 @@ def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
                 continue
             steps = max(2, int(math.ceil(t / h)) + 1)
             grid = np.linspace(0.0, t, steps)
-            traj = solve_reference(problem, x0, u, grid, method="rk4")
+            traj = solve_reference(problem, x0, u, grid)
             ref[i] = traj.states[-1]
     return np.linalg.norm(ref - pred, axis=1)
 

@@ -16,12 +16,15 @@ from . import certify as cert
 from . import presets, surrogate
 from .config import ExperimentConfig, load_config, preset_config, save_config
 from .network import load_network, save_network
-from .ode import ConfigurationError, NumericError
-from .train import TrainingRun, export_loss_history, sample_collocation
+from .ode import ConfigurationError, NumericError, sample_collocation
+from .train import TrainingRun, export_loss_history
 
 
 def _resolve_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
+        if args.desk_scale is False:
+            raise ConfigurationError("--full-scale cannot be combined with --config: "
+                                     "the config file sets the scale")
         cfg = load_config(args.config)
     else:
         cfg = preset_config(args.preset or "decay1d",
@@ -32,10 +35,6 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg.seed = args.seed
     if getattr(args, "out", None):
         cfg.out_dir = args.out
-    if getattr(args, "desk_scale", None) is False and cfg.preset == "pendulum":
-        cfg = preset_config("pendulum", seed=cfg.seed, desk_scale=False)
-        if getattr(args, "out", None):
-            cfg.out_dir = args.out
     cfg.validate()
     return cfg
 
@@ -110,13 +109,13 @@ def cmd_surrogate(args):
     out = _out_dir(cfg)
     problem = presets.build_problem(cfg)
     net = load_network(args.network or Path(cfg.out_dir) / "network.json")
-    ccfg = presets.certify_config(cfg)
+    certifier = cert.Certifier(net, problem, presets.certify_config(cfg))
     if args.data:
         dataset = surrogate.load_surrogate_dataset(
             args.data, problem.dim, problem.control_dim, seed=cfg.seed + 23)
     else:
         dataset = surrogate.generate_surrogate_data(
-            net, problem, cfg.surr_count, cfg.seed + 23, ccfg)
+            net, problem, cfg.surr_count, cfg.seed + 23, certifier=certifier)
         surrogate.export_surrogate_dataset(dataset, out / "surrogate_data.csv")
     run = TrainingRun(gamma_data=1.0, gamma_phys=0.0, optimizer=cfg.surr_optimizer,
                       epochs=cfg.surr_epochs, seed=cfg.seed + 28, lr=cfg.surr_lr)
@@ -131,7 +130,6 @@ def cmd_surrogate(args):
     held = sample_collocation(problem, count, cfg.seed + 31)
     if on_grid:
         held.t = np.linspace(0.0, problem.t_final, count)
-    certifier = cert.Certifier(net, problem, ccfg)
     e_cert = np.array([cert.bound(certifier.trajectory(held.x0[i], held.u[i]), held.t[i]).total
                        for i in range(count)])
     e_nn = np.array([

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ACTIVATIONS, Dual, Tape, UsageError, Var, backward
+from .ode import ConfigurationError, OdeProblem
 
 SCHEMA_VERSION = 1
 
@@ -50,10 +51,6 @@ class Network:
     def n_out(self):
         return self.layer_dims[-1]
 
-    @property
-    def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_network(layer_dims, activation="tanh", seed=0, meta=None):
     """Glorot-uniform initialization with a caller-supplied seed."""
@@ -65,6 +62,47 @@ def init_network(layer_dims, activation="tanh", seed=0, meta=None):
         biases.append(np.zeros(fan_out))
     return Network(list(layer_dims), weights, biases, activation,
                    seed=seed, meta=dict(meta or {}))
+
+
+def infer_layout(net: Network, problem: OdeProblem):
+    """Which of (t, x0, u) feed the network, from metadata or input width."""
+    if "inputs" in net.meta:
+        return list(net.meta["inputs"])
+    n, k = problem.dim, problem.control_dim
+    if net.n_in == 1:
+        return ["t"]
+    if net.n_in == 1 + n:
+        return ["t", "x0"]
+    if net.n_in == 1 + n + k:
+        return ["t", "x0", "u"]
+    raise ConfigurationError(
+        f"cannot infer input layout for width {net.n_in} (dim={n}, controls={k})")
+
+
+def assemble_inputs(layout, t, x0, u):
+    """Stack (t, x0, u) batch columns into the network input matrix."""
+    t = np.asarray(t, dtype=float)
+    cols = []
+    if "t" in layout:
+        cols.append(t[:, None])
+    if "x0" in layout:
+        cols.append(np.asarray(x0, dtype=float))
+    if "u" in layout:
+        cols.append(np.asarray(u, dtype=float))
+    return np.concatenate(cols, axis=1)
+
+
+def trajectory_rows(t, x0, u):
+    """Batch columns (t, x0, u) that repeat one (x0, u) at every time in ``t``.
+
+    ``x0`` and ``u`` may also hold one row per time already.  Pass the
+    result to :func:`assemble_inputs` for the network input matrix.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return (t, np.broadcast_to(x0, (len(t), x0.shape[-1])),
+            np.broadcast_to(u, (len(t), u.shape[-1])))
 
 
 def _forward_any(weights, biases, activation, x):

@@ -1,4 +1,4 @@
-"""ODE problems, the two benchmark systems, and fixed-step reference solvers.
+"""ODE problems, the two benchmark systems, domain sampling, and the RK4 reference.
 
 Reference trajectories are for validation only; certificates never touch
 them.  Right-hand sides are written with the dispatching math functions
@@ -41,6 +41,20 @@ class Box:
 
 
 @dataclass
+class CollocationSet:
+    """Sampled (t, x0[, u]) points, reproducible from the seed."""
+
+    t: np.ndarray       # (N,)
+    x0: np.ndarray      # (N, n)
+    u: np.ndarray       # (N, k), k may be 0
+    seed: int
+    box: Box
+
+    def __len__(self):
+        return len(self.t)
+
+
+@dataclass
 class OdeProblem:
     name: str
     dim: int
@@ -66,6 +80,23 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         if self.states.shape[0] != len(self.times):
             raise ValueError("states row count must match times")
+
+
+def sample_collocation(problem: OdeProblem, count, seed) -> CollocationSet:
+    """Uniform i.i.d. samples of (t, x0[, u]) over the problem's domain box."""
+    if count < 1:
+        raise ConfigurationError("count must be >= 1")
+    box = problem.box
+    if box is None or not box.x0:
+        raise ConfigurationError("problem has no sampling domain box")
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(box.t[0], box.t[1], size=count)
+    x0 = np.column_stack([rng.uniform(lo, hi, size=count) for lo, hi in box.x0])
+    if box.u:
+        u = np.column_stack([rng.uniform(lo, hi, size=count) for lo, hi in box.u])
+    else:
+        u = np.zeros((count, 0))
+    return CollocationSet(t=t, x0=x0, u=u, seed=seed, box=box)
 
 
 def decay_1d() -> OdeProblem:
@@ -141,11 +172,8 @@ def _check_state(x, t):
         raise BlowUpError(t)
 
 
-def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None,
-                    method="rk4") -> Trajectory:
-    """Fixed-step integration on the given grid (forward Euler or RK4)."""
-    if method not in ("forward_euler", "rk4"):
-        raise ConfigurationError(f"unknown method {method!r}")
+def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
+    """Fixed-step classical RK4 integration on the given grid."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0 or (len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0)):
         raise ConfigurationError("t_grid must start at 0 and increase strictly")
@@ -155,29 +183,11 @@ def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None,
     f = problem.rhs_array
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
         h = t1 - t0
-        if method == "forward_euler":
-            x = x + h * f(t0, x, u)
-        else:
-            k1 = f(t0, x, u)
-            k2 = f(t0 + h / 2, x + h / 2 * k1, u)
-            k3 = f(t0 + h / 2, x + h / 2 * k2, u)
-            k4 = f(t1, x + h * k3, u)
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = f(t0, x, u)
+        k2 = f(t0 + h / 2, x + h / 2 * k1, u)
+        k3 = f(t0 + h / 2, x + h / 2 * k2, u)
+        k4 = f(t1, x + h * k3, u)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         _check_state(x, t1)
         states.append(x.copy())
     return Trajectory(times=t_grid, states=np.array(states))
-
-
-def export_trajectory(traj: Trajectory, path, u=None):
-    """CSV with header t,x1,...,xn[,u], 17-significant-digit floats."""
-    n = traj.states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-    if u is not None:
-        header += ",u"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i, t in enumerate(traj.times):
-            row = [t] + list(traj.states[i])
-            if u is not None:
-                row.append(u[i] if np.ndim(u) else u)
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -11,9 +11,9 @@ import numpy as np
 from .certify import CertifyConfig
 from .config import ExperimentConfig
 from .network import Network, init_network
-from .ode import ConfigurationError, OdeProblem, decay_1d, inverted_pendulum, solve_reference
-from .train import (DataSet, TrainingRun, anchor_dataset, merge_datasets,
-                    sample_collocation, train)
+from .ode import (ConfigurationError, OdeProblem, decay_1d, inverted_pendulum,
+                  sample_collocation, solve_reference)
+from .train import DataSet, TrainingRun, anchor_dataset, merge_datasets, train
 
 SCHEDULE_INTERVALS = 50
 SCHEDULE_T_TOTAL = 4.0
@@ -44,7 +44,7 @@ def build_dataset(cfg: ExperimentConfig, problem: OdeProblem, seed=None) -> Data
     for i in range(cfg.data_count):
         t = rng_points.t[i]
         grid = np.linspace(0.0, t, 101) if t > 0 else np.array([0.0])
-        traj = solve_reference(problem, rng_points.x0[i], rng_points.u[i], grid, "rk4")
+        traj = solve_reference(problem, rng_points.x0[i], rng_points.u[i], grid)
         targets[i] = traj.states[-1]
     data = DataSet(t=rng_points.t, x0=rng_points.x0, x_target=targets, u=rng_points.u)
     anchors = anchor_dataset(problem, rng_points.x0, u=rng_points.u)
@@ -104,7 +104,7 @@ def make_pendulum_schedule(n_intervals=SCHEDULE_INTERVALS, t_total=SCHEDULE_T_TO
         u = float(np.clip(u, -15.0, 15.0))
         rows.append((i * dt, x.copy(), u))
         grid = np.linspace(0.0, dt, int(round(dt / h)) + 1)
-        traj = solve_reference(problem, x, [u], grid, "rk4")
+        traj = solve_reference(problem, x, [u], grid)
         x = traj.states[-1]
     return rows
 

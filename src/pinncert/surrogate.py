@@ -13,9 +13,10 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .certify import Certifier, CertifyConfig, bound
-from .network import Network, _forward_any, bind_network, init_network, parameter_gradient
-from .ode import ConfigurationError, NumericError, OdeProblem
-from .train import TrainingRun, assemble_inputs, optimize, sample_collocation, trajectory_rows
+from .network import (Network, _forward_any, assemble_inputs, bind_network, init_network,
+                      parameter_gradient, trajectory_rows)
+from .ode import ConfigurationError, NumericError, OdeProblem, sample_collocation
+from .train import TrainingRun, optimize
 
 
 @dataclass
@@ -33,9 +34,12 @@ class SurrogateDataset:
 
 
 def generate_surrogate_data(net: Network, problem: OdeProblem, count, seed,
-                            config: CertifyConfig = None) -> SurrogateDataset:
-    """Certify ``count`` seeded random domain points and record the totals."""
-    certifier = Certifier(net, problem, config)
+                            config: CertifyConfig = None, *,
+                            certifier: Certifier = None) -> SurrogateDataset:
+    """Certify ``count`` seeded random domain points and record the totals,
+    with ``certifier`` if given, else with a new Certifier built from ``config``."""
+    if certifier is None:
+        certifier = Certifier(net, problem, config)
     colloc = sample_collocation(problem, count, seed)
     targets = np.empty(count)
     for i in range(count):

@@ -1,4 +1,4 @@
-"""Physics-informed training: losses, collocation sampling, optimizers.
+"""Physics-informed training: datasets, losses, optimizers.
 
 Training is full batch (sets are at most ~1e4 points) and strictly
 deterministic per seed: no minibatching, fixed summation order.
@@ -6,37 +6,27 @@ deterministic per seed: no minibatching, fixed summation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape
-from .network import (Network, _forward_any, bind_network, flatten_params, forward,
-                      parameter_gradient, set_params)
-from .ode import ConfigurationError, NumericError, OdeProblem
+from .certify import residual_batch_columns
+from .network import (Network, _forward_any, assemble_inputs, bind_network, flatten_params,
+                      infer_layout, parameter_gradient, set_params)
+# sample_collocation is not used here: it is re-exported for callers of this module
+from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
+                  sample_collocation)
 
 
 OPTIMIZERS = ("adam", "lbfgs")
+LBFGS_MEMORY = 10
 
 
 class DivergenceError(NumericError):
     def __init__(self, epoch, what="loss"):
         super().__init__(f"non-finite {what} at epoch {epoch}")
         self.epoch = epoch
-
-
-@dataclass
-class CollocationSet:
-    """Sampled (t, x0[, u]) points, reproducible from the seed."""
-
-    t: np.ndarray       # (N,)
-    x0: np.ndarray      # (N, n)
-    u: np.ndarray       # (N, k), k may be 0
-    seed: int
-    box: object
-
-    def __len__(self):
-        return len(self.t)
 
 
 @dataclass
@@ -65,11 +55,6 @@ class TrainingRun:
     epochs: int = 1000
     seed: int = 0
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-    lbfgs_memory: int = 10
-    loss_history: list = field(default_factory=list)
 
     def validate(self):
         if self.gamma_data < 0 or self.gamma_phys < 0:
@@ -91,23 +76,6 @@ def eta_weights(eta, t):
     return np.interp(t, pts[:, 0], pts[:, 1])
 
 
-def sample_collocation(problem: OdeProblem, count, seed) -> CollocationSet:
-    """Uniform i.i.d. samples of (t, x0[, u]) over the problem's domain box."""
-    if count < 1:
-        raise ConfigurationError("count must be >= 1")
-    box = problem.box
-    if box is None or not box.x0:
-        raise ConfigurationError("problem has no sampling domain box")
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(box.t[0], box.t[1], size=count)
-    x0 = np.column_stack([rng.uniform(lo, hi, size=count) for lo, hi in box.x0])
-    if box.u:
-        u = np.column_stack([rng.uniform(lo, hi, size=count) for lo, hi in box.u])
-    else:
-        u = np.zeros((count, 0))
-    return CollocationSet(t=t, x0=x0, u=u, seed=seed, box=box)
-
-
 def anchor_dataset(problem: OdeProblem, x0s, u=None) -> DataSet:
     """t=0 records mapping each initial value to itself (pins E_init)."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
@@ -122,96 +90,60 @@ def merge_datasets(a: DataSet, b: DataSet) -> DataSet:
                    u=np.vstack([a.u, b.u]))
 
 
-# -- network input layout -------------------------------------------------
-
-def infer_layout(net: Network, problem: OdeProblem):
-    """Which of (t, x0, u) feed the network, from metadata or input width."""
-    if "inputs" in net.meta:
-        return list(net.meta["inputs"])
-    n, k = problem.dim, problem.control_dim
-    if net.n_in == 1:
-        return ["t"]
-    if net.n_in == 1 + n:
-        return ["t", "x0"]
-    if net.n_in == 1 + n + k:
-        return ["t", "x0", "u"]
-    raise ConfigurationError(
-        f"cannot infer input layout for width {net.n_in} (dim={n}, controls={k})")
-
-
-def assemble_inputs(layout, t, x0, u):
-    """Stack (t, x0, u) batch columns into the network input matrix."""
-    t = np.asarray(t, dtype=float)
-    cols = []
-    if "t" in layout:
-        cols.append(t[:, None])
-    if "x0" in layout:
-        cols.append(np.asarray(x0, dtype=float))
-    if "u" in layout:
-        cols.append(np.asarray(u, dtype=float))
-    return np.concatenate(cols, axis=1)
-
-
-def trajectory_rows(t, x0, u):
-    """Batch columns (t, x0, u) that repeat one (x0, u) at every time in ``t``.
-
-    ``x0`` and ``u`` may also hold one row per time already.  Pass the
-    result to :func:`assemble_inputs` for the network input matrix.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return (t, np.broadcast_to(x0, (len(t), x0.shape[-1])),
-            np.broadcast_to(u, (len(t), u.shape[-1])))
-
-
 # -- losses ---------------------------------------------------------------
+
+def _data_loss(weights, biases, activation, layout, dataset: DataSet):
+    """Mean squared Euclidean deviation from the supervised targets.
+
+    Works for plain arrays (evaluation) and tape variables (training).
+    """
+    X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
+    diff = _forward_any(weights, biases, activation, X) - dataset.x_target
+    return (diff * diff).sum(axis=1).mean()
+
+
+def _physics_loss(weights, biases, activation, layout, problem, colloc, eta_w):
+    """Mean eta-weighted squared residual norm over the collocation set.
+
+    Works for plain arrays (evaluation) and tape variables (training).
+    """
+    r_cols = residual_batch_columns(weights, biases, activation, layout, problem,
+                                    colloc.t, colloc.x0, colloc.u)
+    sq = r_cols[0] * r_cols[0]
+    for r in r_cols[1:]:
+        sq = sq + r * r
+    return (eta_w * sq).mean()
+
 
 def loss_data(net: Network, dataset: DataSet, problem: OdeProblem = None):
     """Mean squared Euclidean deviation from the supervised targets."""
     if len(dataset) == 0:
         raise ConfigurationError("empty dataset")
     layout = infer_layout(net, problem) if problem is not None else net.meta.get("inputs", ["t"])
-    X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
-    pred = forward(net, X)
-    return float(np.mean(np.sum((pred - dataset.x_target) ** 2, axis=1)))
+    return float(_data_loss(net.weights, net.biases, net.activation, layout, dataset))
 
 
 def loss_physics(net: Network, problem: OdeProblem, colloc: CollocationSet, eta=None):
     """Mean eta-weighted squared residual norm over the collocation set."""
-    from .certify import residual_batch_columns
-
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
-    r_cols = residual_batch_columns(net.weights, net.biases, net.activation,
-                                    infer_layout(net, problem), problem,
-                                    colloc.t, colloc.x0, colloc.u)
-    sq = sum(r * r for r in r_cols)
-    return float(np.mean(eta_weights(eta, colloc.t) * sq))
+    return float(_physics_loss(net.weights, net.biases, net.activation,
+                               infer_layout(net, problem), problem, colloc,
+                               eta_weights(eta, colloc.t)))
 
 
 def _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w):
     """One tape-recorded full-batch evaluation of the total loss."""
-    from .certify import residual_batch_columns
-
     tape = Tape()
     wvars, bvars = bind_network(tape, net)
     parts = {"data": 0.0, "phys": 0.0}
     total = None
     if run.gamma_data > 0 and dataset is not None and len(dataset):
-        X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
-        pred = _forward_any(wvars, bvars, net.activation, X)
-        diff = pred - dataset.x_target
-        l_data = (diff * diff).sum(axis=1).mean()
+        l_data = _data_loss(wvars, bvars, net.activation, layout, dataset)
         parts["data"] = float(l_data.value)
         total = run.gamma_data * l_data
     if run.gamma_phys > 0 and colloc is not None and len(colloc):
-        r_cols = residual_batch_columns(wvars, bvars, net.activation, layout,
-                                        problem, colloc.t, colloc.x0, colloc.u)
-        sq = r_cols[0] * r_cols[0]
-        for r in r_cols[1:]:
-            sq = sq + r * r
-        l_phys = (eta_w * sq).mean()
+        l_phys = _physics_loss(wvars, bvars, net.activation, layout, problem, colloc, eta_w)
         parts["phys"] = float(l_phys.value)
         term = run.gamma_phys * l_phys
         total = term if total is None else total + term
@@ -242,15 +174,13 @@ def optimize(net: Network, run: TrainingRun, evaluate):
     """Minimize with ``run.optimizer`` in place; ``evaluate()`` returns
     (total, data, phys, flat gradient) at the current parameters.
 
-    Returns (and stores in ``run.loss_history``) one (total, data, phys)
-    triple per completed epoch.
+    Returns one (total, data, phys) triple per completed epoch.
     """
     history = []
     if run.optimizer == "adam":
         _run_adam(net, run, evaluate, history)
     else:
         _run_lbfgs(net, run, evaluate, history)
-    run.loss_history = history
     return history
 
 
@@ -265,8 +195,7 @@ def _run_adam(net, run, evaluate, history):
         if not np.all(np.isfinite(grad)):
             raise DivergenceError(epoch, "gradient")
         history.append((total, ld, lp))
-        theta, m, v = adam_step(theta, grad, m, v, epoch + 1, run.lr,
-                                run.beta1, run.beta2, run.eps_adam)
+        theta, m, v = adam_step(theta, grad, m, v, epoch + 1, run.lr)
         set_params(net, theta)
 
 
@@ -325,7 +254,7 @@ def _run_lbfgs(net, run, evaluate, history):
         if s_vec @ y_vec > 1e-12:
             s_hist.append(s_vec)
             y_hist.append(y_vec)
-            if len(s_hist) > run.lbfgs_memory:
+            if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         theta = theta + s_vec

@@ -148,11 +148,20 @@ def test_pendulum_certify_computes_network_constants_once(tmp_path, monkeypatch)
 
 
 def test_pendulum_surrogate_estimates_L_once_per_certifier(tmp_path, monkeypatch):
-    # one estimate for the generated data and one for the held-out points
+    # one Certifier serves the generated data and the held-out points
     path, _ = tiny_pendulum_setup(tmp_path)
-    calls = _count_calls(monkeypatch, certify, "estimate_lipschitz")
+    calls = _count_calls(monkeypatch, certify, "estimate_lipschitz", "mean_residual_norm")
     assert main(["surrogate", "--config", str(path)]) == 0
-    assert calls["estimate_lipschitz"] <= 2
+    assert calls == {"estimate_lipschitz": 1, "mean_residual_norm": 1}
+
+
+def test_decay_surrogate_estimates_K_once(tmp_path, monkeypatch):
+    # every generated and held-out decay1d point shares the one (x0, u)
+    path, _ = tiny_decay_config(tmp_path)
+    assert main(["train", "--config", str(path)]) == 0
+    calls = _count_calls(monkeypatch, certify, "estimate_K")
+    assert main(["surrogate", "--config", str(path)]) == 0
+    assert calls["estimate_K"] == 1
 
 
 def test_pendulum_certify_without_schedule_exits_2(tmp_path, capsys):
@@ -164,6 +173,15 @@ def test_pendulum_certify_without_schedule_exits_2(tmp_path, capsys):
 
 def test_unknown_config_file_exits_2(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 2
+
+
+def test_full_scale_with_config_exits_2(tmp_path, capsys):
+    # the loaded config is never swapped for a preset behind the caller's back
+    path, _ = tiny_decay_config(tmp_path)
+    assert main(["train", "--config", str(path), "--full-scale"]) == 2
+    err = capsys.readouterr().err
+    assert "--full-scale" in err and "--config" in err
+    assert not (tmp_path / "out" / "network.json").exists()
 
 
 def test_invalid_config_value_exits_2(tmp_path):

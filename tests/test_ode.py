@@ -4,8 +4,7 @@ import pytest
 from pinncert.certify import rhs_jacobian
 from pinncert.ode import (PENDULUM_A, PENDULUM_J, PENDULUM_M, GRAVITY,
                           BlowUpError, Box, ConfigurationError, OdeProblem,
-                          Trajectory, decay_1d, export_trajectory,
-                          inverted_pendulum, solve_reference)
+                          Trajectory, decay_1d, inverted_pendulum, solve_reference)
 
 
 def test_decay_rhs_value():
@@ -75,16 +74,10 @@ def test_zero_rhs_constant_trajectory():
     assert np.all(traj.states == [0.3, -0.7])
 
 
-def test_single_euler_step_by_hand():
-    traj = solve_reference(decay_1d(), [2.0], (), np.array([0.0, 0.01]),
-                           method="forward_euler")
-    assert traj.states[1, 0] == pytest.approx(2.0 * (1 - 0.02), rel=1e-15)
-
-
 def test_rk4_matches_closed_form_decay():
     p = decay_1d()
     t = np.linspace(0.0, 2.0, 2001)   # h = 1e-3
-    traj = solve_reference(p, [2.0], (), t, method="rk4")
+    traj = solve_reference(p, [2.0], (), t)
     exact = 2.0 * np.exp(-2.0 * t)
     assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-9
 
@@ -94,7 +87,7 @@ def test_rk4_observed_order_at_least_3_9():
     errs = []
     for steps in (20, 40, 80):
         t = np.linspace(0.0, 2.0, steps + 1)
-        traj = solve_reference(p, [2.0], (), t, method="rk4")
+        traj = solve_reference(p, [2.0], (), t)
         errs.append(abs(traj.states[-1, 0] - 2.0 * np.exp(-4.0)))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(slopes >= 3.9)
@@ -104,7 +97,7 @@ def test_pendulum_energy_conserved_without_friction():
     # angle is measured from upright, so the potential is +m g a cos(phi)
     p = inverted_pendulum(friction=0.0)
     t = np.linspace(0.0, 1.0, 10001)   # h = 1e-4
-    traj = solve_reference(p, [0.4, 0.0, 0.0, 0.0], [0.0], t, method="rk4")
+    traj = solve_reference(p, [0.4, 0.0, 0.0, 0.0], [0.0], t)
     denom = PENDULUM_J + PENDULUM_M * PENDULUM_A ** 2
     phi, phidot = traj.states[:, 0], traj.states[:, 1]
     energy = denom * phidot ** 2 / 2 + PENDULUM_M * GRAVITY * PENDULUM_A * np.cos(phi)
@@ -116,8 +109,7 @@ def test_blow_up_reports_time():
     p = OdeProblem(name="quad", dim=1, rhs=lambda t, x, u: [x[0] * x[0]],
                    t_final=10.0, box=Box(t=(0, 10), x0=[(0, 100)]))
     with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore"):
-        solve_reference(p, [100.0], (), np.linspace(0, 10, 101),
-                        method="forward_euler")
+        solve_reference(p, [100.0], (), np.linspace(0, 10, 101))
     assert exc.value.t > 0
 
 
@@ -127,8 +119,6 @@ def test_bad_grid_rejected():
         solve_reference(p, [2.0], (), np.array([0.5, 1.0]))
     with pytest.raises(ConfigurationError):
         solve_reference(p, [2.0], (), np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(ConfigurationError):
-        solve_reference(p, [2.0], (), np.array([0.0, 1.0]), method="euler_backward")
 
 
 def test_degenerate_grid_returns_initial_state():
@@ -142,12 +132,3 @@ def test_trajectory_requires_increasing_times():
         Trajectory(times=np.array([0.0, 1.0, 0.5]), states=np.zeros((3, 1)))
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 1)))
-
-
-def test_export_trajectory_round_trip(tmp_path):
-    traj = solve_reference(decay_1d(), [2.0], (), np.linspace(0, 2, 5))
-    path = tmp_path / "traj.csv"
-    export_trajectory(traj, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(data[:, 0], traj.times)
-    np.testing.assert_array_equal(data[:, 1], traj.states[:, 0])
