@@ -354,23 +354,33 @@ def predict_states(net: Network, problem: OdeProblem, x0, u, t_grid):
 
 def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
                  h=1e-4):
-    """||x(t) - phihat(t)|| on a grid; closed form if available, else RK4."""
+    """||x(t) - phihat(t)|| at the query times: (T,) for one (x0, u).
+
+    Rows x0 (B, d) and u (B, m) that share the query times give (B, T).  The
+    reference is the closed form if the problem has one, else one RK4 pass
+    over a grid through 0 and every distinct query time, each gap split into
+    equal steps no longer than h.  The times may be unsorted or repeated.
+    """
+    if not (h > 0 and math.isfinite(h)):
+        raise ConfigurationError(f"reference step h must be finite and > 0, got {h}")
     t_grid = np.asarray(t_grid, dtype=float)
-    pred = predict_states(net, problem, x0, u, t_grid)
+    x0 = np.asarray(x0, dtype=float)
     if problem.exact_solution is not None:
-        ref = np.array([problem.exact_solution(t, np.asarray(x0, dtype=float))
-                        for t in t_grid])
+        columns = x0.T          # a batch passes one column per component, as to the rhs
+        ref = np.array([problem.exact_solution(t, columns) for t in t_grid]).swapaxes(1, -1)
     else:
-        ref = np.empty_like(pred)
-        for i, t in enumerate(t_grid):
-            if t == 0.0:
-                ref[i] = np.asarray(x0, dtype=float)
-                continue
-            steps = max(2, int(math.ceil(t / h)) + 1)
-            grid = np.linspace(0.0, t, steps)
-            traj = solve_reference(problem, x0, u, grid)
-            ref[i] = traj.states[-1]
-    return np.linalg.norm(ref - pred, axis=1)
+        knots, at = np.unique(np.append(t_grid, 0.0), return_inverse=True)
+        steps = np.ceil(np.diff(knots) / h).astype(int)
+        grid = np.concatenate([knots[:1], *(np.linspace(a, b, n + 1)[1:] for a, b, n
+                                            in zip(knots[:-1], knots[1:], steps))])
+        knot_rows = np.concatenate([[0], np.cumsum(steps)])
+        ref = solve_reference(problem, x0, u, grid).states[knot_rows[at[:-1]]]
+    if x0.ndim == 1:
+        pred = predict_states(net, problem, x0, u, t_grid)
+    else:
+        pred = np.stack([predict_states(net, problem, x, v, t_grid)
+                         for x, v in zip(x0, np.reshape(u, (len(x0), -1)))], axis=1)
+    return np.linalg.norm(ref - pred, axis=-1).T
 
 
 # -- export ---------------------------------------------------------------

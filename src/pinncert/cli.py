@@ -62,30 +62,32 @@ def cmd_train(args):
 
 
 def _trajectories(cfg, problem, args):
-    """(t_start, x0, u, local times) of each certified trajectory."""
+    """The certified trajectories: interval starts (None off a schedule), x0
+    rows (B, d), u rows (B, m), and the local query times they share."""
     if args.schedule:
         if cfg.preset != "pendulum":
             raise ConfigurationError("control schedules apply to the pendulum preset only")
         local = np.linspace(0.0, presets.SCHEDULE_T_TOTAL / presets.SCHEDULE_INTERVALS,
                             args.times_per_interval)
-        return [(t_start, x0, [u], local)
-                for t_start, x0, u in presets.load_schedule(args.schedule)[:args.intervals]]
+        rows = presets.load_schedule(args.schedule)[:args.intervals]
+        return ([t_start for t_start, _, _ in rows], np.array([x0 for _, x0, _ in rows]),
+                np.array([[u] for _, _, u in rows]), local)
     if not all(lo == hi for lo, hi in problem.box.x0):
         raise ConfigurationError(f"{problem.name} has no single initial value to certify "
                                  "on the query grid; pass a control schedule with --schedule")
-    return [(None, np.array([lo for lo, _ in problem.box.x0]), np.zeros(problem.control_dim),
-             np.linspace(0.0, problem.t_final, cfg.query_points))]
+    return ([None], np.array([[lo for lo, _ in problem.box.x0]]),
+            np.zeros((1, problem.control_dim)), np.linspace(0.0, problem.t_final, cfg.query_points))
 
 
 def cmd_certify(args):
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
     problem = presets.build_problem(cfg)
-    trajectories = _trajectories(cfg, problem, args)
+    starts, x0s, us, times = _trajectories(cfg, problem, args)
     net = load_network(args.network or Path(cfg.out_dir) / "network.json")
     certifier = cert.Certifier(net, problem, presets.certify_config(cfg))
-    certs, actual = [], [] if args.with_reference else None
-    for t_start, x0, u, times in trajectories:
+    certs = []
+    for t_start, x0, u in zip(starts, x0s, us):
         traj = certifier.trajectory(x0, u)
         for t in times:
             c = cert.bound(traj, t)
@@ -93,8 +95,9 @@ def cmd_certify(args):
                 c.t = t_start + t          # report global time
                 c.constants_used["interval_t_start"] = t_start
             certs.append(c)
-        if actual is not None:
-            actual.extend(cert.actual_error(net, problem, x0, u, times))
+    # the trajectories share their local times, so one batched reference serves all
+    actual = (cert.actual_error(net, problem, x0s, us, times).ravel()
+              if args.with_reference else None)
     path = out / "certificates.csv"
     cert.export_certificates(certs, path, actual)
     if actual is not None:

@@ -58,13 +58,13 @@ class CollocationSet:
 class OdeProblem:
     name: str
     dim: int
-    rhs: callable            # (t, x, u) -> sequence of dim components
+    rhs: callable            # (t, x, u) -> dim components; x, u may hold batch columns
     t_final: float
     box: Box
     jacobian_x: callable = None   # analytic (t, x, u) -> (dim, dim), optional
     linear_part: np.ndarray = None
     control_dim: int = 0
-    exact_solution: callable = None   # (t, x0) -> state, when known
+    exact_solution: callable = None   # (t, x0) -> state, when known; x0 as in rhs
 
     def rhs_array(self, t, x, u=()):
         return np.array(self.rhs(t, x, u), dtype=float)
@@ -76,7 +76,7 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0) and len(self.times) > 1:
+        if np.any(np.diff(self.times, axis=0) <= 0):
             raise ValueError("times must be strictly increasing")
         if self.states.shape[0] != len(self.times):
             raise ValueError("states row count must match times")
@@ -167,27 +167,47 @@ def inverted_pendulum(friction=PENDULUM_D) -> OdeProblem:
     )
 
 
-def _check_state(x, t):
-    if not np.all(np.isfinite(x)):
-        raise BlowUpError(t)
+def _first_nonfinite_time(x, t):
+    """Earliest of the times ``t`` at which a state column of ``x`` is non-finite."""
+    bad = ~np.isfinite(x).all(axis=0)
+    return float(np.min(np.broadcast_to(t, bad.shape)[bad]))
 
 
 def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
-    """Fixed-step classical RK4 integration on the given grid."""
+    """Fixed-step classical RK4 integration on the given grid.
+
+    One trajectory: x0 (d,), u (m,), t_grid (T,); states are (T, d).  A batch
+    of B trajectories: x0 (B, d), u (B, m), and t_grid either shared (T,) or
+    per row (T, B); states are (T, B, d).  The loop steps ``x = x0.T``, so a
+    single trajectory keeps scalar components and a batch passes the rhs one
+    column per component.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0.0 or (len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0)):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2) or x0.shape[-1] != problem.dim:
+        raise ConfigurationError(f"x0 must be ({problem.dim},) or (B, {problem.dim}); "
+                                 f"got shape {x0.shape}")
+    u = np.asarray(u, dtype=float)
+    u = np.zeros((*x0.shape[:-1], 0)) if u.size == 0 else np.atleast_1d(u)
+    if u.shape[:-1] != x0.shape[:-1]:
+        raise ConfigurationError(f"u rows {u.shape[:-1]} do not match x0 rows {x0.shape[:-1]}")
+    if t_grid.ndim == 0 or t_grid.size == 0 or t_grid.shape[1:] not in ((), x0.shape[:-1]):
+        raise ConfigurationError(f"t_grid must be (T,) or (T, B) with B the x0 rows; "
+                                 f"got shape {t_grid.shape} for x0 {x0.shape}")
+    if np.any(t_grid[0] != 0.0) or np.any(np.diff(t_grid, axis=0) <= 0):
         raise ConfigurationError("t_grid must start at 0 and increase strictly")
-    u = np.atleast_1d(np.asarray(u, dtype=float)) if np.ndim(u) or np.size(u) else np.zeros(0)
-    x = np.asarray(x0, dtype=float).copy()
-    states = [x.copy()]
     f = problem.rhs_array
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+    x, u = x0.T, u.T
+    states = np.empty((len(t_grid), *x0.shape))
+    states[0] = x0
+    for i, (t0, t1) in enumerate(zip(t_grid[:-1], t_grid[1:]), 1):
         h = t1 - t0
         k1 = f(t0, x, u)
         k2 = f(t0 + h / 2, x + h / 2 * k1, u)
         k3 = f(t0 + h / 2, x + h / 2 * k2, u)
         k4 = f(t1, x + h * k3, u)
         x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_state(x, t1)
-        states.append(x.copy())
-    return Trajectory(times=t_grid, states=np.array(states))
+        if not np.isfinite(x).all():
+            raise BlowUpError(_first_nonfinite_time(x, t1))
+        states[i] = x.T
+    return Trajectory(times=t_grid, states=states)

@@ -11,9 +11,11 @@ from pinncert.certify import (Certificate, Certifier, CertifyConfig,
                               mean_residual_norm, predict_states,
                               spectral_abscissa, subinterval_count,
                               trapezoid_bound_integral)
-from pinncert.network import Network, init_network
+from pinncert import certify, presets
+from pinncert.cli import main
+from pinncert.network import Network, init_network, save_network
 from pinncert.ode import (Box, ConfigurationError, OdeProblem, decay_1d,
-                          inverted_pendulum)
+                          inverted_pendulum, solve_reference)
 from pinncert.train import CollocationSet, TrainingRun, anchor_dataset, sample_collocation, train
 
 
@@ -447,6 +449,55 @@ def test_actual_error_rk4_path_agrees_with_closed_form(quick_decay_net):
     a = actual_error(quick_decay_net, problem, [2.0], (), t)
     b = actual_error(quick_decay_net, stripped, [2.0], (), t)
     np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+def _pendulum_net():
+    return init_network([6, 8, 8, 4], seed=3, meta={"inputs": ["t", "x0", "u"]})
+
+
+def test_actual_error_single_pass_matches_per_time_oracle():
+    net, problem, h = _pendulum_net(), inverted_pendulum(), 1e-3
+    x0, u = np.array([0.3, -0.5, 0.1, 0.2]), np.array([2.0])
+    t = np.array([0.07, 0.0, 0.031, 0.1, 0.031, 0.0049, 0.0])   # unsorted, repeated, zero
+    pred = predict_states(net, problem, x0, u, t)
+    oracle = np.empty(len(t))
+    for i, ti in enumerate(t):
+        ref = (x0 if ti == 0.0 else solve_reference(
+            problem, x0, u, np.linspace(0.0, ti, math.ceil(ti / h) + 1)).states[-1])
+        oracle[i] = np.linalg.norm(ref - pred[i])
+    err = actual_error(net, problem, x0, u, t, h=h)
+    np.testing.assert_allclose(err, oracle, rtol=1e-12, atol=0)
+    assert err[1] == err[6] == np.linalg.norm(x0 - pred[1])
+
+
+@pytest.mark.parametrize("h", [-1.0, 0.0, np.nan, np.inf])
+def test_actual_error_rejects_bad_step(h):
+    with pytest.raises(ConfigurationError):
+        actual_error(_pendulum_net(), inverted_pendulum(), np.zeros(4), [0.0], [0.05], h=h)
+
+
+def test_certify_with_reference_makes_one_batched_pass(tmp_path, monkeypatch):
+    net = _pendulum_net()
+    save_network(net, tmp_path / "net.json")
+    rng = np.random.default_rng(5)
+    rows = [(0.08 * i, rng.uniform(-0.5, 0.5, 4), float(rng.uniform(-5, 5)))
+            for i in range(presets.SCHEDULE_INTERVALS)]
+    presets.export_schedule(rows, tmp_path / "schedule.csv")
+    calls = []
+    real = certify.solve_reference
+    monkeypatch.setattr(certify, "solve_reference",
+                        lambda *args: calls.append(args) or real(*args))
+    assert main(["certify", "--preset", "pendulum", "--network", str(tmp_path / "net.json"),
+                 "--schedule", str(tmp_path / "schedule.csv"), "--intervals", "3",
+                 "--with-reference", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    column = np.loadtxt(tmp_path / "out" / "certificates.csv", delimiter=",", skiprows=1)[:, 5]
+    local = np.linspace(0.0, presets.SCHEDULE_T_TOTAL / presets.SCHEDULE_INTERVALS, 20)
+    monkeypatch.setattr(certify, "solve_reference", real)
+    per_interval = np.concatenate([actual_error(net, inverted_pendulum(), x0, [u], local)
+                                   for _, x0, u in presets.load_schedule(
+                                       tmp_path / "schedule.csv")[:3]])
+    np.testing.assert_allclose(column, per_interval, rtol=1e-12, atol=0)
 
 
 def test_export_certificates_with_sidecar(tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pinncert.certify import rhs_jacobian
+from pinncert.config import preset_config
+from pinncert.presets import build_dataset
 from pinncert.ode import (PENDULUM_A, PENDULUM_J, PENDULUM_M, GRAVITY,
                           BlowUpError, Box, ConfigurationError, OdeProblem,
                           Trajectory, decay_1d, inverted_pendulum, solve_reference)
@@ -106,11 +108,75 @@ def test_pendulum_energy_conserved_without_friction():
 
 
 def test_blow_up_reports_time():
-    p = OdeProblem(name="quad", dim=1, rhs=lambda t, x, u: [x[0] * x[0]],
-                   t_final=10.0, box=Box(t=(0, 10), x0=[(0, 100)]))
+    p = _quad_problem()
     with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore"):
         solve_reference(p, [100.0], (), np.linspace(0, 10, 101))
     assert exc.value.t > 0
+
+
+def _quad_problem():
+    return OdeProblem(name="quad", dim=1, rhs=lambda t, x, u: [x[0] * x[0]],
+                      t_final=10.0, box=Box(t=(0, 10), x0=[(0, 100)]))
+
+
+def test_batch_blow_up_reports_first_row_time():
+    p, grid = _quad_problem(), np.linspace(0, 0.1, 101)
+    x0 = np.array([[20.0], [100.0], [50.0]])
+    serial = []
+    for row in x0:
+        with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
+            solve_reference(p, row, (), grid)
+        serial.append(exc.value.t)
+    with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
+        solve_reference(p, x0, (), grid)
+    assert exc.value.t == min(serial) < max(serial)
+
+
+def _pendulum_batch(count, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform([-1, -2, -1, -1], [1, 2, 1, 1], size=(count, 4))
+    return x0, rng.uniform(-5, 5, size=(count, 1))
+
+
+def test_batched_reference_equals_serial_calls():
+    p = inverted_pendulum()
+    x0, u = _pendulum_batch(5, 7)
+    shared = np.linspace(0.0, 0.1, 201)
+    batch = solve_reference(p, x0, u, shared).states
+    assert batch.shape == (201, 5, 4)
+    for i in range(5):
+        np.testing.assert_array_equal(batch[:, i], solve_reference(p, x0[i], u[i], shared).states)
+    ends = np.array([0.01, 0.1, 0.037, 0.08, 0.05])
+    per_row = np.linspace(0.0, ends, 101)
+    batch = solve_reference(p, x0, u, per_row).states
+    for i in range(5):
+        serial = solve_reference(p, x0[i], u[i], np.linspace(0.0, ends[i], 101)).states
+        np.testing.assert_array_equal(batch[:, i], serial)
+
+
+def test_dataset_targets_equal_serial_oracle():
+    cfg = preset_config("pendulum")
+    p = inverted_pendulum()
+    data = build_dataset(cfg, p)
+    n = cfg.data_count
+    for i in range(n):
+        grid = np.linspace(0.0, data.t[i], 101)
+        expected = solve_reference(p, data.x0[i], data.u[i], grid).states[-1]
+        np.testing.assert_array_equal(data.x_target[i], expected)
+
+
+def test_reference_shape_mismatches_rejected():
+    p = inverted_pendulum()
+    x0, u = _pendulum_batch(3, 0)
+    grid = np.linspace(0.0, 0.1, 11)
+    with pytest.raises(ConfigurationError):
+        solve_reference(p, x0[:, :3], u, grid)
+    with pytest.raises(ConfigurationError):
+        solve_reference(p, x0, u[:2], grid)
+    with pytest.raises(ConfigurationError):
+        solve_reference(p, x0[0], u, grid)
+    with pytest.raises(ConfigurationError):
+        solve_reference(p, x0, u, np.linspace(0.0, [0.1, 0.1], 11))
 
 
 def test_bad_grid_rejected():
