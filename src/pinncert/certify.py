@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Dual
-from .network import Network, _forward_any, assemble_inputs, infer_layout, trajectory_rows
+from .network import Network, assemble_inputs, forward, infer_layout
 from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
                   sample_collocation, solve_reference)
 
@@ -33,22 +33,23 @@ class DegenerateSmoothingError(NumericError):
 
 # -- residual -------------------------------------------------------------
 
-def residual_batch_columns(weights, biases, activation, layout, problem,
-                           t, x0, u):
-    """Residual components at a batch of (t, x0, u) rows.
+def residual_batch_columns(net: Network, problem: OdeProblem, *, t, x0, u, tape=None):
+    """Residual components at a batch of (t, x0, u) rows, one column of
+    length B per state dimension; ``x0`` and ``u`` may be one row that every
+    time repeats.
 
-    Works for plain arrays (evaluation) and tape variables (training):
-    returns one column of length B per state dimension.
+    Plain arrays without a ``tape`` (evaluation); the tape's variables with
+    one (training).
     """
-    t = np.asarray(t, dtype=float)
-    X = assemble_inputs(layout, t, x0, u)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    X = assemble_inputs(infer_layout(net, problem), t, x0, u)
     Xdot = np.zeros_like(X)
     Xdot[:, 0] = 1.0    # tangent along the time input
-    out = _forward_any(weights, biases, activation, Dual(X, Xdot))
+    out = forward(net, Dual(X, Xdot), tape)
     y, ydot = out.value, out.derivative
     x_cols = [y[:, i] for i in range(problem.dim)]
-    u = np.asarray(u, dtype=float)
-    u_cols = [u[:, j] for j in range(u.shape[1])]
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u_cols = [np.broadcast_to(u[..., j], t.shape) for j in range(u.shape[-1])]
     f_cols = problem.rhs(t, x_cols, u_cols)
     return [ydot[:, i] - f_cols[i] for i in range(problem.dim)]
 
@@ -62,14 +63,9 @@ class ResidualFn:
     x0: np.ndarray
     u: np.ndarray
 
-    def __post_init__(self):
-        self._layout = infer_layout(self.net, self.problem)
-
     def __call__(self, t):
-        cols = residual_batch_columns(self.net.weights, self.net.biases, self.net.activation,
-                                      self._layout, self.problem,
-                                      *trajectory_rows(t, self.x0, self.u))
-        return np.column_stack(cols)
+        return np.column_stack(residual_batch_columns(self.net, self.problem, t=t,
+                                                      x0=self.x0, u=self.u))
 
     def norms(self, t):
         return np.linalg.norm(self(t), axis=1)
@@ -79,9 +75,7 @@ def mean_residual_norm(net: Network, problem: OdeProblem, colloc: CollocationSet
     """Average residual norm over the collocation set (each point's own x0, u)."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
-    cols = residual_batch_columns(net.weights, net.biases, net.activation,
-                                  infer_layout(net, problem), problem,
-                                  colloc.t, colloc.x0, colloc.u)
+    cols = residual_batch_columns(net, problem, t=colloc.t, x0=colloc.x0, u=colloc.u)
     return float(np.mean(np.linalg.norm(np.column_stack(cols), axis=1)))
 
 
@@ -260,6 +254,8 @@ class Certifier:
             raise ConfigurationError(f"unknown mu policy {config.mu_policy!r}")
         if config.mu_policy == "explicit" and (config.mu is None or config.mu < 0):
             raise ConfigurationError("explicit mu policy needs mu >= 0")
+        if config.L is not None and not 0 <= config.L < math.inf:
+            raise ConfigurationError(f"L override must be finite and >= 0, got {config.L}")
         self.net, self.problem, self.config = net, problem, config
         # L / mu sampling is denser than typical training collocation to reduce
         # the risk of underestimating L
@@ -346,8 +342,7 @@ def bound_linear(net: Network, problem: OdeProblem, x0, u, t,
 
 def predict_states(net: Network, problem: OdeProblem, x0, u, t_grid):
     """phihat(t) on a grid of times for one (x0, u)."""
-    X = assemble_inputs(infer_layout(net, problem), *trajectory_rows(t_grid, x0, u))
-    return _forward_any(net.weights, net.biases, net.activation, X)
+    return forward(net, assemble_inputs(infer_layout(net, problem), t_grid, x0, u))
 
 
 # -- validation-only reference comparison ---------------------------------

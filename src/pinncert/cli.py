@@ -80,6 +80,12 @@ def _trajectories(cfg, problem, args):
 
 
 def cmd_certify(args):
+    if not 1 <= args.intervals <= presets.SCHEDULE_INTERVALS:
+        raise ConfigurationError(f"--intervals must be in 1..{presets.SCHEDULE_INTERVALS}, "
+                                 f"got {args.intervals}")
+    if args.times_per_interval < 1:
+        raise ConfigurationError(f"--times-per-interval must be >= 1, "
+                                 f"got {args.times_per_interval}")
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
     problem = presets.build_problem(cfg)
@@ -135,9 +141,7 @@ def cmd_surrogate(args):
         held.t = np.linspace(0.0, problem.t_final, count)
     e_cert = np.array([cert.bound(certifier.trajectory(held.x0[i], held.u[i]), held.t[i]).total
                        for i in range(count)])
-    e_nn = np.array([
-        surrogate.evaluate_error_net(err_net, held.t[i], held.x0[i], held.u[i])[0]
-        for i in range(count)])
+    e_nn = surrogate.evaluate_error_net(err_net, held.t, held.x0, held.u)
     path = out / "surrogate_comparison.csv"
     n = problem.dim
     with open(path, "w") as fh:

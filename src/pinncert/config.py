@@ -8,6 +8,7 @@ byte-identical.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field
 
 from .autodiff import ACTIVATIONS
@@ -74,6 +75,20 @@ class ExperimentConfig:
             raise ConfigurationError("mu_policy = explicit needs mu >= 0")
         if not (self.eps > 0 and self.K_grid >= 10 and self.safety_factor >= 1):
             raise ConfigurationError("need eps > 0, K_grid >= 10 and safety_factor >= 1")
+        if self.L_override is not None and not 0 <= self.L_override < math.inf:
+            raise ConfigurationError(f"L_override must be finite and >= 0, got {self.L_override}")
+        for key in ("lr", "surr_lr"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigurationError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        if self.surr_epochs < 0 or self.query_points < 1:
+            raise ConfigurationError("surr_epochs must be >= 0 and query_points >= 1")
+        for key in ("hidden", "surr_hidden"):
+            widths = getattr(self, key)
+            # an empty list would save as an empty value, which loads as None
+            if not (isinstance(widths, list) and widths
+                    and all(isinstance(w, int) and w >= 1 for w in widths)):
+                raise ConfigurationError(f"{key} must be a non-empty list of ints >= 1, "
+                                         f"got {widths!r}")
 
 
 def preset_config(name, seed=None, desk_scale=True) -> ExperimentConfig:
@@ -129,6 +144,7 @@ _FLOAT_FIELDS = {"lr", "gamma_data", "gamma_phys", "eps", "mu", "safety_factor",
                  "L_override", "surr_under_weight", "surr_lr"}
 _LIST_FIELDS = {"hidden", "surr_hidden"}
 _BOOL_FIELDS = {"desk_scale"}
+_OPTIONAL_FIELDS = {"mu", "L_override", "n_override"}
 
 
 def save_config(cfg: ExperimentConfig, path):
@@ -158,6 +174,8 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigurationError(f"unknown key {key!r} in [{section}]")
             raw = raw.strip()
             if raw == "":
+                if key not in _OPTIONAL_FIELDS:
+                    raise ConfigurationError(f"{key} in [{section}] needs a value")
                 value = None
             elif key in _LIST_FIELDS:
                 value = [int(x) for x in raw.split(",") if x.strip()]

@@ -64,10 +64,14 @@ def init_network(layer_dims, activation="tanh", seed=0, meta=None):
                    seed=seed, meta=dict(meta or {}))
 
 
-def infer_layout(net: Network, problem: OdeProblem):
-    """Which of (t, x0, u) feed the network, from metadata or input width."""
+def infer_layout(net: Network, problem: OdeProblem = None):
+    """Which of (t, x0, u) feed the network: its metadata, else the input
+    width against ``problem``'s state and control dimensions."""
     if "inputs" in net.meta:
         return list(net.meta["inputs"])
+    if problem is None:
+        raise ConfigurationError("network metadata names no inputs and no problem "
+                                 "is given to infer them from the input width")
     n, k = problem.dim, problem.control_dim
     if net.n_in == 1:
         return ["t"]
@@ -80,29 +84,16 @@ def infer_layout(net: Network, problem: OdeProblem):
 
 
 def assemble_inputs(layout, t, x0, u):
-    """Stack (t, x0, u) batch columns into the network input matrix."""
-    t = np.asarray(t, dtype=float)
-    cols = []
-    if "t" in layout:
-        cols.append(t[:, None])
-    if "x0" in layout:
-        cols.append(np.asarray(x0, dtype=float))
-    if "u" in layout:
-        cols.append(np.asarray(u, dtype=float))
-    return np.concatenate(cols, axis=1)
-
-
-def trajectory_rows(t, x0, u):
-    """Batch columns (t, x0, u) that repeat one (x0, u) at every time in ``t``.
-
-    ``x0`` and ``u`` may also hold one row per time already.  Pass the
-    result to :func:`assemble_inputs` for the network input matrix.
-    """
+    """The network input matrix: one row per time, columns (t, x0, u) in
+    ``layout``.  ``x0`` and ``u`` hold one row per time, or one row that
+    every time repeats."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return (t, np.broadcast_to(x0, (len(t), x0.shape[-1])),
-            np.broadcast_to(u, (len(t), u.shape[-1])))
+    cols = [t[:, None]] if "t" in layout else []
+    for name, rows in (("x0", x0), ("u", u)):
+        if name in layout:
+            rows = np.atleast_1d(np.asarray(rows, dtype=float))
+            cols.append(np.broadcast_to(rows, (len(t), rows.shape[-1])))
+    return np.concatenate(cols, axis=1)
 
 
 def _forward_any(weights, biases, activation, x):
@@ -114,12 +105,30 @@ def _forward_any(weights, biases, activation, x):
     return h @ weights[-1].T + biases[-1]
 
 
-def forward(net: Network, x):
-    """Evaluate the network on a single input vector (or a batch of rows)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != net.n_in:
-        raise ShapeError(f"input width {x.shape[-1]} != expected {net.n_in}")
-    return _forward_any(net.weights, net.biases, net.activation, x)
+def forward(net: Network, x, tape: Tape = None):
+    """Evaluate the network on an input vector or a batch of rows.
+
+    ``x`` is an array or a ``Dual`` of arrays.  With a ``tape`` the weights
+    are that tape's leaves, bound once per tape, so the output is
+    differentiable via :func:`parameter_gradient`.
+    """
+    if not isinstance(x, Dual):
+        x = np.asarray(x, dtype=float)
+    width = np.shape(x.value if isinstance(x, Dual) else x)[-1]
+    if width != net.n_in:
+        raise ShapeError(f"input width {width} != expected {net.n_in}")
+    weights, biases = net.weights, net.biases
+    if tape is not None:
+        if id(net) not in tape._bindings:
+            tape._bindings[id(net)] = ([tape.var(w) for w in weights],
+                                       [tape.var(b) for b in biases])
+        weights, biases = tape._bindings[id(net)]
+    return _forward_any(weights, biases, net.activation, x)
+
+
+def forward_on_tape(tape: Tape, net: Network, x):
+    """:func:`forward` with the weights bound on ``tape``."""
+    return forward(net, x, tape)
 
 
 def input_jacobian(net: Network, x):
@@ -131,30 +140,8 @@ def input_jacobian(net: Network, x):
     for j in range(net.n_in):
         seed = np.zeros(net.n_in)
         seed[j] = 1.0
-        out = _forward_any(net.weights, net.biases, net.activation, Dual(x, seed))
-        jac[:, j] = out.derivative
+        jac[:, j] = forward(net, Dual(x, seed)).derivative
     return jac
-
-
-def bind_network(tape: Tape, net: Network):
-    """Register the network parameters as leaves on ``tape``.
-
-    Returns (weight_vars, bias_vars); forward passes built from these are
-    differentiable via ``parameter_gradient``.
-    """
-    wvars = [tape.var(w) for w in net.weights]
-    bvars = [tape.var(b) for b in net.biases]
-    tape._bindings[id(net)] = (wvars, bvars)
-    return wvars, bvars
-
-
-def forward_on_tape(tape: Tape, net: Network, x):
-    """Convenience: bind (if needed) and run the forward pass on the tape."""
-    binding = tape._bindings.get(id(net))
-    if binding is None:
-        binding = bind_network(tape, net)
-    wvars, bvars = binding
-    return _forward_any(wvars, bvars, net.activation, x)
 
 
 def parameter_gradient(net: Network, loss_scalar):

@@ -13,8 +13,8 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .certify import Certifier, CertifyConfig, bound
-from .network import (Network, _forward_any, assemble_inputs, bind_network, init_network,
-                      parameter_gradient, trajectory_rows)
+from .network import (Network, assemble_inputs, forward, infer_layout, init_network,
+                      parameter_gradient)
 from .ode import ConfigurationError, NumericError, OdeProblem, sample_collocation
 from .train import TrainingRun, optimize
 
@@ -82,23 +82,17 @@ def train_error_net(dataset: SurrogateDataset, arch, run: TrainingRun,
     run.validate()
 
     layout = ["t"]
-    n_in = 1
     if dataset.x0.shape[1] and np.ptp(dataset.x0, axis=0).max() > 0:
         layout.append("x0")
-        n_in += dataset.x0.shape[1]
     if dataset.u.shape[1]:
         layout.append("u")
-        n_in += dataset.u.shape[1]
-    net = init_network([n_in, *arch, 1], activation="tanh", seed=run.seed,
-                       meta={"inputs": layout, "kind": "error_indicator"})
-
     X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
     y = dataset.targets
+    net = init_network([X.shape[1], *arch, 1], activation="tanh", seed=run.seed,
+                       meta={"inputs": layout, "kind": "error_indicator"})
 
     def evaluate():
-        tape = Tape()
-        wvars, bvars = bind_network(tape, net)
-        pred = _forward_any(wvars, bvars, net.activation, X)[:, 0]
+        pred = forward(net, X, Tape())[:, 0]
         loss = asymmetric_loss(pred, y, under_weight)
         grad = parameter_gradient(net, loss)
         return float(loss.value), float(loss.value), 0.0, grad
@@ -109,8 +103,7 @@ def train_error_net(dataset: SurrogateDataset, arch, run: TrainingRun,
 
 def evaluate_error_net(net: Network, t, x0, u):
     """E_NN at a batch of query points (one (x0, u), or one row per time)."""
-    X = assemble_inputs(net.meta["inputs"], *trajectory_rows(t, x0, u))
-    return _forward_any(net.weights, net.biases, net.activation, X)[:, 0]
+    return forward(net, assemble_inputs(infer_layout(net), t, x0, u))[:, 0]
 
 
 def export_surrogate_dataset(dataset: SurrogateDataset, path):

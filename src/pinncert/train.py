@@ -12,8 +12,8 @@ import numpy as np
 
 from .autodiff import Tape
 from .certify import residual_batch_columns
-from .network import (Network, _forward_any, assemble_inputs, bind_network, flatten_params,
-                      infer_layout, parameter_gradient, set_params)
+from .network import (Network, assemble_inputs, flatten_params, forward, infer_layout,
+                      parameter_gradient, set_params)
 # sample_collocation is not used here: it is re-exported for callers of this module
 from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
                   sample_collocation)
@@ -91,24 +91,21 @@ def merge_datasets(a: DataSet, b: DataSet) -> DataSet:
 
 
 # -- losses ---------------------------------------------------------------
+#
+# Without a tape the loss terms are numbers (evaluation); with one, they are
+# that tape's variables (training).
 
-def _data_loss(weights, biases, activation, layout, dataset: DataSet):
-    """Mean squared Euclidean deviation from the supervised targets.
-
-    Works for plain arrays (evaluation) and tape variables (training).
-    """
+def _data_loss(net: Network, layout, dataset: DataSet, tape=None):
+    """Mean squared Euclidean deviation from the supervised targets."""
     X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
-    diff = _forward_any(weights, biases, activation, X) - dataset.x_target
+    diff = forward(net, X, tape) - dataset.x_target
     return (diff * diff).sum(axis=1).mean()
 
 
-def _physics_loss(weights, biases, activation, layout, problem, colloc, eta_w):
-    """Mean eta-weighted squared residual norm over the collocation set.
-
-    Works for plain arrays (evaluation) and tape variables (training).
-    """
-    r_cols = residual_batch_columns(weights, biases, activation, layout, problem,
-                                    colloc.t, colloc.x0, colloc.u)
+def _physics_loss(net: Network, problem, colloc, eta_w, tape=None):
+    """Mean eta-weighted squared residual norm over the collocation set."""
+    r_cols = residual_batch_columns(net, problem, t=colloc.t, x0=colloc.x0, u=colloc.u,
+                                    tape=tape)
     sq = r_cols[0] * r_cols[0]
     for r in r_cols[1:]:
         sq = sq + r * r
@@ -119,31 +116,27 @@ def loss_data(net: Network, dataset: DataSet, problem: OdeProblem = None):
     """Mean squared Euclidean deviation from the supervised targets."""
     if len(dataset) == 0:
         raise ConfigurationError("empty dataset")
-    layout = infer_layout(net, problem) if problem is not None else net.meta.get("inputs", ["t"])
-    return float(_data_loss(net.weights, net.biases, net.activation, layout, dataset))
+    return float(_data_loss(net, infer_layout(net, problem), dataset))
 
 
 def loss_physics(net: Network, problem: OdeProblem, colloc: CollocationSet, eta=None):
     """Mean eta-weighted squared residual norm over the collocation set."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
-    return float(_physics_loss(net.weights, net.biases, net.activation,
-                               infer_layout(net, problem), problem, colloc,
-                               eta_weights(eta, colloc.t)))
+    return float(_physics_loss(net, problem, colloc, eta_weights(eta, colloc.t)))
 
 
 def _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w):
     """One tape-recorded full-batch evaluation of the total loss."""
     tape = Tape()
-    wvars, bvars = bind_network(tape, net)
     parts = {"data": 0.0, "phys": 0.0}
     total = None
     if run.gamma_data > 0 and dataset is not None and len(dataset):
-        l_data = _data_loss(wvars, bvars, net.activation, layout, dataset)
+        l_data = _data_loss(net, layout, dataset, tape)
         parts["data"] = float(l_data.value)
         total = run.gamma_data * l_data
     if run.gamma_phys > 0 and colloc is not None and len(colloc):
-        l_phys = _physics_loss(wvars, bvars, net.activation, layout, problem, colloc, eta_w)
+        l_phys = _physics_loss(net, problem, colloc, eta_w, tape)
         parts["phys"] = float(l_phys.value)
         term = run.gamma_phys * l_phys
         total = term if total is None else total + term

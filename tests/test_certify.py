@@ -116,6 +116,13 @@ def test_certifier_mu_policies():
             Certifier(net, problem, bad)
 
 
+@pytest.mark.parametrize("L", [-5.0, -1e-300, math.nan, math.inf])
+def test_certifier_rejects_negative_or_non_finite_L(L):
+    # a negative L shrinks e^{Lt} below the true growth and the bound below the error
+    with pytest.raises(ConfigurationError, match="L override"):
+        Certifier(linear_time_net(-4.0, 2.0), decay_1d(), CertifyConfig(mode="nonlinear", L=L))
+
+
 def test_delta_dominates_residual_norm(quick_decay_net):
     problem = decay_1d()
     rfn = ResidualFn(quick_decay_net, problem, np.array([2.0]), np.zeros(0))

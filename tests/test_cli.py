@@ -171,6 +171,18 @@ def test_pendulum_certify_without_schedule_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "certificates.csv").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--intervals", -1), ("--intervals", 0), ("--intervals", 60),
+    ("--times-per-interval", 0), ("--times-per-interval", -3),
+])
+def test_certify_interval_flags_out_of_range_exit_2(tmp_path, capsys, flag, value):
+    path, schedule = tiny_pendulum_setup(tmp_path)
+    assert main(["certify", "--config", str(path), "--schedule", str(schedule),
+                 flag, str(value)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
+
+
 def test_unknown_config_file_exits_2(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 2
 
@@ -201,6 +213,17 @@ def test_invalid_config_value_exits_2(tmp_path):
     {"eps": -0.1},
     {"K_grid": 9},
     {"safety_factor": 0.99},
+    {"L_override": -5.0},
+    {"L_override": float("nan")},
+    {"L_override": float("inf")},
+    {"lr": -0.01},
+    {"lr": float("nan")},
+    {"surr_lr": 0.0},
+    {"surr_epochs": -5},
+    {"query_points": 0},
+    {"hidden": []},
+    {"hidden": [4, 0]},
+    {"surr_hidden": [-1]},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_config_values_exit_2_at_load(tmp_path, overrides):
     path, cfg = tiny_decay_config(tmp_path, epochs=0, **overrides)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pinncert.autodiff import ACTIVATIONS, Dual, Tape, UsageError
-from pinncert.network import (Network, ShapeError, bind_network, flatten_params,
+from pinncert.network import (Network, ShapeError, _forward_any, flatten_params,
                               forward, forward_on_tape, init_network,
                               input_jacobian, load_network, parameter_gradient,
                               save_network, set_params)
@@ -158,11 +158,42 @@ def test_forward_reverse_consistency_per_parameter():
                 seed_arr.flat[flat_i] = 1.0
                 dual_w = [Dual(w, sw) for w, sw in zip(net.weights, seed_w)]
                 dual_b = [Dual(b, sb) for b, sb in zip(net.biases, seed_b)]
-                from pinncert.network import _forward_any
                 out_d = _forward_any(dual_w, dual_b, net.activation, x[None, :])
                 fwd = float(np.sum(2 * out_d.value * out_d.derivative))
                 assert abs(grad[idx] - fwd) <= 1e-10
                 idx += 1
+
+
+def test_taped_dual_forward_matches_explicit_leaves():
+    # forward(net, Dual(X, e_t), tape) against the weights bound as tape leaves by hand
+    net = init_network([6, 32, 32, 4], seed=3)
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(7, 6))
+    e_t = np.zeros_like(X)
+    e_t[:, 0] = 1.0
+    results = []
+    for via_forward in (True, False):
+        tape = Tape()
+        if via_forward:
+            out = forward(net, Dual(X, e_t), tape)
+        else:
+            leaves = ([tape.var(w) for w in net.weights], [tape.var(b) for b in net.biases])
+            tape._bindings[id(net)] = leaves
+            out = _forward_any(*leaves, net.activation, Dual(X, e_t))
+        loss = ((out.value * out.derivative) ** 2).sum()
+        results.append((out.value.value, out.derivative.value,
+                        parameter_gradient(net, loss)))
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_forward_checks_width_on_dual_value_and_binds_once_per_tape():
+    net = init_network([2, 3, 1], seed=0)
+    with pytest.raises(ShapeError):
+        forward(net, Dual(np.zeros((4, 3)), np.zeros((4, 3))))
+    tape = Tape()
+    forward(net, np.zeros((4, 2)), tape)
+    forward(net, np.ones((4, 2)), tape)
+    assert sum(1 for node in tape.nodes if not node.parents) == 4    # 2 weights, 2 biases
 
 
 def test_gradient_on_unrecorded_scalar_raises():

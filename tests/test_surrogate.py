@@ -131,6 +131,12 @@ def test_under_weight_raises_overestimation_fraction():
     assert fracs[1] > fracs[0]
 
 
+def test_error_net_without_input_metadata_is_a_configuration_error():
+    net = init_network([1, 4, 1], seed=0)
+    with pytest.raises(ConfigurationError, match="inputs"):
+        evaluate_error_net(net, [0.5], [2.0], [])
+
+
 def test_train_error_net_validation():
     empty = SurrogateDataset(t=np.zeros(0), x0=np.zeros((0, 1)),
                              u=np.zeros((0, 0)), targets=np.zeros(0), seed=0)

@@ -241,6 +241,12 @@ def test_assemble_inputs_layout_order():
     X = assemble_inputs(["t", "x0", "u"], [0.5], np.array([[1.0, 2.0]]),
                         np.array([[3.0]]))
     np.testing.assert_array_equal(X, [[0.5, 1.0, 2.0, 3.0]])
+    # one (x0, u) row repeats at every time
+    t = np.array([0.0, 0.25, 1.5])
+    X = assemble_inputs(["t", "x0", "u"], t, [1.0, 2.0], [3.0])
+    np.testing.assert_array_equal(
+        X, assemble_inputs(["t", "x0", "u"], t, np.tile([1.0, 2.0], (3, 1)),
+                           np.tile([3.0], (3, 1))))
 
 
 def test_infer_layout_from_width():
@@ -251,6 +257,14 @@ def test_infer_layout_from_width():
                         problem) == ["t", "x0"]
     with pytest.raises(ConfigurationError):
         infer_layout(Network([5, 1], [np.zeros((1, 5))], [np.zeros(1)]), problem)
+
+
+def test_layout_without_metadata_or_problem_is_a_configuration_error():
+    net = Network([1, 1], [np.ones((1, 1))], [np.zeros(1)])
+    ds = DataSet(t=np.zeros(1), x0=np.ones((1, 1)), x_target=np.ones((1, 1)))
+    with pytest.raises(ConfigurationError, match="inputs"):
+        loss_data(net, ds)
+    assert loss_data(net, ds, decay_1d()) == 1.0      # the width fixes the layout
 
 
 def test_export_loss_history(tmp_path):
