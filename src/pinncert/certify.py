@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Dual
-from .network import Network, assemble_inputs, forward, infer_layout
+from .network import Network, assemble_inputs, forward, infer_layout, time_tangent
 from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
                   sample_collocation, solve_reference)
 
@@ -33,25 +33,25 @@ class DegenerateSmoothingError(NumericError):
 
 # -- residual -------------------------------------------------------------
 
-def residual_batch_columns(net: Network, problem: OdeProblem, *, t, x0, u, tape=None):
+def residual_batch_columns(net: Network, problem: OdeProblem, *, t, x0, u):
     """Residual components at a batch of (t, x0, u) rows, one column of
     length B per state dimension; ``x0`` and ``u`` may be one row that every
-    time repeats.
-
-    Plain arrays without a ``tape`` (evaluation); the tape's variables with
-    one (training).
-    """
+    time repeats."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     X = assemble_inputs(infer_layout(net, problem), t, x0, u)
-    Xdot = np.zeros_like(X)
-    Xdot[:, 0] = 1.0    # tangent along the time input
-    out = forward(net, Dual(X, Xdot), tape)
+    out = forward(net, Dual(X, time_tangent(X)))
     y, ydot = out.value, out.derivative
-    x_cols = [y[:, i] for i in range(problem.dim)]
+    return residual_columns(problem, t, u, [y[:, i] for i in range(problem.dim)],
+                            [ydot[:, i] for i in range(problem.dim)])
+
+
+def residual_columns(problem: OdeProblem, t, u, x_cols, xdot_cols):
+    """R = d/dt x - f(t, x, u), componentwise, from the state's columns and
+    their time derivatives: arrays, or a tape's variables (training)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     u_cols = [np.broadcast_to(u[..., j], t.shape) for j in range(u.shape[-1])]
     f_cols = problem.rhs(t, x_cols, u_cols)
-    return [ydot[:, i] - f_cols[i] for i in range(problem.dim)]
+    return [xdot_cols[i] - f_cols[i] for i in range(problem.dim)]
 
 
 @dataclass
@@ -127,13 +127,14 @@ def estimate_lipschitz(problem: OdeProblem, colloc: CollocationSet):
     """L = max over collocation points of sigma_max(df/dx)."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
-    best = 0.0
-    for i in range(len(colloc)):
-        jac = rhs_jacobian(problem, colloc.t[i], colloc.x0[i], colloc.u[i])
-        if not np.all(np.isfinite(jac)):
-            raise DomainError(f"non-finite Jacobian at collocation point {i}")
-        best = max(best, largest_singular_value(jac))
-    return best
+    jac = np.stack([rhs_jacobian(problem, colloc.t[i], colloc.x0[i], colloc.u[i])
+                    for i in range(len(colloc))])
+    bad = ~np.isfinite(jac).all(axis=(1, 2))
+    if bad.any():
+        raise DomainError(f"non-finite Jacobian at collocation point {int(np.argmax(bad))}")
+    # one stacked symmetric eigensolve: sigma_max^2 = lambda_max(J^T J) per point
+    eigs = np.linalg.eigvalsh(np.swapaxes(jac, 1, 2) @ jac)
+    return math.sqrt(max(float(np.max(eigs)), 0.0))
 
 
 def spectral_abscissa(a):

@@ -82,6 +82,19 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{key} must be finite and > 0, got {getattr(self, key)}")
         if self.surr_epochs < 0 or self.query_points < 1:
             raise ConfigurationError("surr_epochs must be >= 0 and query_points >= 1")
+        for key in ("gamma_data", "gamma_phys"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigurationError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if self.n_override is not None and not (isinstance(self.n_override, int)
+                                                and self.n_override >= 1):
+            raise ConfigurationError(f"n_override must be empty or an int >= 1, "
+                                     f"got {self.n_override!r}")
+        for key in ("data_count", "cert_colloc_count", "surr_count", "surr_holdout"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 1 <= self.surr_under_weight < math.inf:
+            raise ConfigurationError(f"surr_under_weight must be finite and >= 1, "
+                                     f"got {self.surr_under_weight}")
         for key in ("hidden", "surr_hidden"):
             widths = getattr(self, key)
             # an empty list would save as an empty value, which loads as None

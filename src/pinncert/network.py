@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, Dual, Tape, UsageError, Var, backward
+from .autodiff import ACTIVATIONS, Dual, Tape, UsageError, Var, backward, erf, sigmoid
 from .ode import ConfigurationError, OdeProblem
 
 SCHEMA_VERSION = 1
@@ -129,6 +129,156 @@ def forward(net: Network, x, tape: Tape = None):
 def forward_on_tape(tape: Tape, net: Network, x):
     """:func:`forward` with the weights bound on ``tape``."""
     return forward(net, x, tape)
+
+
+def time_tangent(x):
+    """The input rows' derivative along time: 1 in the time column (the
+    first, when the layout has one) and 0 elsewhere."""
+    e = np.zeros_like(x)
+    e[:, 0] = 1.0
+    return e
+
+
+# -- the training kernel ------------------------------------------------------
+#
+# (sigma, sigma', sigma'') on plain arrays.  tanh is not in the table: its jet
+# writes sigma' = 1 - y*y into a buffer and its reverse mirrors the tape's
+# expressions, so that tanh gradients equal the tape's bit for bit.
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _sigmoid_jet(z):
+    s = sigmoid(z)
+    d1 = s * (1.0 - s)
+    return s, d1, d1 * (1.0 - 2.0 * s)
+
+
+def _silu_jet(z):
+    s, d1, d2 = _sigmoid_jet(z)
+    return z * s, s + z * d1, 2.0 * d1 + z * d2
+
+
+def _gelu_jet(z):
+    cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
+    return z * cdf, cdf + z * pdf, pdf * (2.0 - z * z)
+
+
+_JETS = {"gelu": _gelu_jet, "silu": _silu_jet, "sigmoid": _sigmoid_jet}
+
+
+class MlpJet:
+    """The network on fixed input rows as (value, d/dt), with the reverse
+    into the flat parameter gradient, on plain arrays.
+
+    Built once per input set: every buffer is allocated here and refilled by
+    each :meth:`forward` / :meth:`backward`, which read the network's
+    current weights.  Without a ``tangent`` only the value is carried.
+    """
+
+    def __init__(self, net: Network, x, tangent=None):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != net.n_in:
+            raise ShapeError(f"input rows must be (B, {net.n_in}), got {x.shape}")
+        self.net, self.x, self.tangent = net, x, tangent
+        self.tanh = net.activation == "tanh"
+        rows = len(x)
+        hidden = net.layer_dims[1:-1]
+
+        def buffers(widths):
+            return [np.empty((rows, w)) for w in widths]
+
+        self.value = buffers(net.layer_dims[1:])    # activations; the output last
+        self.slope = buffers(hidden)                # sigma' at each hidden layer
+        self.curv = [] if self.tanh else buffers(hidden)    # sigma''
+        self.g_value = buffers(hidden)
+        self.gwt = [np.empty((a, b)) for a, b in zip(net.layer_dims[:-1], net.layer_dims[1:])]
+        self.gb = [np.empty(w) for w in net.layer_dims[1:]]
+        if tangent is not None:
+            self.pre_dot = buffers(net.layer_dims[1:])   # d/dt of the pre-activations
+            self.dot = buffers(hidden)                  # d/dt of the activations
+            self.g_dot = buffers(hidden)
+            self.scratch = buffers(hidden)
+            self.gwt_dot = [np.empty_like(g) for g in self.gwt]
+
+    def forward(self):
+        """(value, d/dt) of the output rows; d/dt is None without a tangent.
+        Both are views of buffers that the next call overwrites."""
+        net, last = self.net, len(self.net.weights) - 1
+        h, hd = self.x, self.tangent
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = self.value[k]
+            np.matmul(h, w.T, out=z)
+            if hd is not None:
+                np.matmul(hd, w.T, out=self.pre_dot[k])
+            np.add(z, b, out=z)
+            if k == last:
+                break
+            s = self.slope[k]
+            if self.tanh:
+                np.tanh(z, out=z)
+                np.multiply(z, z, out=s)
+                np.subtract(1.0, s, out=s)
+            else:
+                z[...], s[...], self.curv[k][...] = _JETS[net.activation](z)
+            h = z
+            if hd is not None:
+                hd = np.multiply(s, self.pre_dot[k], out=self.dot[k])
+        return self.value[last], None if hd is None else self.pre_dot[last]
+
+    def backward(self, g_value, g_dot=None, *, out, add=False):
+        """Pull the output adjoints of the last :meth:`forward` back to the
+        parameters, into the flat (W, b per layer) vector ``out``; with
+        ``add`` onto what ``out`` holds."""
+        net = self.net
+        gz, gzd = g_value, g_dot
+        for k in reversed(range(len(net.weights))):
+            w = net.weights[k]
+            h = self.value[k - 1] if k else self.x
+            np.matmul(h.T, gz, out=self.gwt[k])
+            if gzd is not None:
+                hd = self.dot[k - 1] if k else self.tangent
+                np.matmul(hd.T, gzd, out=self.gwt_dot[k])
+                np.add(self.gwt_dot[k], self.gwt[k], out=self.gwt[k])
+            np.sum(gz, axis=0, out=self.gb[k])
+            if k == 0:
+                break
+            gh, s = self.g_value[k - 1], self.slope[k - 1]
+            np.matmul(gz, w, out=gh)
+            if gzd is None:
+                np.multiply(gh, s, out=gh)
+            else:
+                ghd, tmp = self.g_dot[k - 1], self.scratch[k - 1]
+                np.matmul(gzd, w, out=ghd)
+                np.multiply(ghd, self.pre_dot[k - 1], out=tmp)
+                if self.tanh:
+                    # the tape's d/dt tanh is (1 - y*y) * zd: it adds the two
+                    # partials of y*y onto y's adjoint one after the other
+                    np.negative(tmp, out=tmp)
+                    np.multiply(tmp, self.value[k - 1], out=tmp)
+                    np.add(gh, tmp, out=gh)
+                    np.add(gh, tmp, out=gh)
+                    np.multiply(gh, s, out=gh)
+                else:
+                    np.multiply(gh, s, out=gh)
+                    np.multiply(tmp, self.curv[k - 1], out=tmp)
+                    np.add(gh, tmp, out=gh)
+                gzd = np.multiply(ghd, s, out=ghd)
+            gz = gh
+        offset = 0
+        for gwt, gb in zip(self.gwt, self.gb):
+            gw = out[offset:offset + gwt.size].reshape(gwt.shape[::-1])
+            offset += gwt.size
+            ob = out[offset:offset + gb.size]
+            offset += gb.size
+            if add:
+                np.add(gw, gwt.T, out=gw)
+                np.add(ob, gb, out=ob)
+            else:
+                gw[...] = gwt.T
+                ob[...] = gb
 
 
 def input_jacobian(net: Network, x):

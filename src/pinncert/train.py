@@ -6,14 +6,15 @@ deterministic per seed: no minibatching, fixed summation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
-from .certify import residual_batch_columns
-from .network import (Network, assemble_inputs, flatten_params, forward, infer_layout,
-                      parameter_gradient, set_params)
+from .autodiff import Tape, backward
+from .certify import residual_batch_columns, residual_columns
+from .network import (MlpJet, Network, assemble_inputs, flatten_params, forward,
+                      infer_layout, set_params, time_tangent)
 # sample_collocation is not used here: it is re-exported for callers of this module
 from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
                   sample_collocation)
@@ -57,8 +58,10 @@ class TrainingRun:
     lr: float = 1e-2
 
     def validate(self):
-        if self.gamma_data < 0 or self.gamma_phys < 0:
-            raise ConfigurationError("loss weights must be non-negative")
+        for key in ("gamma_data", "gamma_phys"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigurationError(f"loss weight {key} must be finite and >= 0, "
+                                         f"got {getattr(self, key)}")
         if self.gamma_data == 0 and self.gamma_phys == 0:
             raise ConfigurationError("at least one loss weight must be positive")
         if self.optimizer not in OPTIMIZERS:
@@ -92,20 +95,17 @@ def merge_datasets(a: DataSet, b: DataSet) -> DataSet:
 
 # -- losses ---------------------------------------------------------------
 #
-# Without a tape the loss terms are numbers (evaluation); with one, they are
-# that tape's variables (training).
+# The reductions work on arrays (evaluation) and on a tape's variables
+# (training, where the tape's leaves are the network's output columns).
 
-def _data_loss(net: Network, layout, dataset: DataSet, tape=None):
-    """Mean squared Euclidean deviation from the supervised targets."""
-    X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
-    diff = forward(net, X, tape) - dataset.x_target
+def _squared_error(y, target):
+    """Mean squared Euclidean deviation of the rows of ``y`` from ``target``."""
+    diff = y - target
     return (diff * diff).sum(axis=1).mean()
 
 
-def _physics_loss(net: Network, problem, colloc, eta_w, tape=None):
-    """Mean eta-weighted squared residual norm over the collocation set."""
-    r_cols = residual_batch_columns(net, problem, t=colloc.t, x0=colloc.x0, u=colloc.u,
-                                    tape=tape)
+def _weighted_mean_square(r_cols, eta_w):
+    """Mean eta-weighted squared norm of the rows of the columns ``r_cols``."""
     sq = r_cols[0] * r_cols[0]
     for r in r_cols[1:]:
         sq = sq + r * r
@@ -116,34 +116,75 @@ def loss_data(net: Network, dataset: DataSet, problem: OdeProblem = None):
     """Mean squared Euclidean deviation from the supervised targets."""
     if len(dataset) == 0:
         raise ConfigurationError("empty dataset")
-    return float(_data_loss(net, infer_layout(net, problem), dataset))
+    X = assemble_inputs(infer_layout(net, problem), dataset.t, dataset.x0, dataset.u)
+    return float(_squared_error(forward(net, X), dataset.x_target))
 
 
 def loss_physics(net: Network, problem: OdeProblem, colloc: CollocationSet, eta=None):
     """Mean eta-weighted squared residual norm over the collocation set."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
-    return float(_physics_loss(net, problem, colloc, eta_weights(eta, colloc.t)))
+    r_cols = residual_batch_columns(net, problem, t=colloc.t, x0=colloc.x0, u=colloc.u)
+    return float(_weighted_mean_square(r_cols, eta_weights(eta, colloc.t)))
 
 
-def _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w):
-    """One tape-recorded full-batch evaluation of the total loss."""
+def _training_jets(net, layout, dataset, colloc, run):
+    """The kernels of the two loss terms, (data, physics); None for a term
+    with zero weight or no points."""
+    data = phys = None
+    if run.gamma_data > 0 and dataset is not None and len(dataset):
+        data = MlpJet(net, assemble_inputs(layout, dataset.t, dataset.x0, dataset.u))
+    if run.gamma_phys > 0 and colloc is not None and len(colloc):
+        X = assemble_inputs(layout, colloc.t, colloc.x0, colloc.u)
+        phys = MlpJet(net, X, time_tangent(X))
+    return data, phys
+
+
+def _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w, jets=None):
+    """One full-batch evaluation of the total loss and its flat gradient.
+
+    The network runs in the :class:`MlpJet` kernels ``jets`` (built here when
+    not given); the rhs, residual and reductions are recorded on a small tape
+    whose leaves are the kernels' output columns.
+    """
+    data_jet, phys_jet = _training_jets(net, layout, dataset, colloc, run) \
+        if jets is None else jets
+    if data_jet is None and phys_jet is None:
+        raise ConfigurationError("nothing to train on: both loss terms are empty")
     tape = Tape()
     parts = {"data": 0.0, "phys": 0.0}
     total = None
-    if run.gamma_data > 0 and dataset is not None and len(dataset):
-        l_data = _data_loss(net, layout, dataset, tape)
+    if data_jet is not None:
+        y_data = tape.var(data_jet.forward()[0])
+        l_data = _squared_error(y_data, dataset.x_target)
         parts["data"] = float(l_data.value)
         total = run.gamma_data * l_data
-    if run.gamma_phys > 0 and colloc is not None and len(colloc):
-        l_phys = _physics_loss(net, problem, colloc, eta_w, tape)
+    if phys_jet is not None:
+        y, ydot = phys_jet.forward()
+        x_cols = [tape.var(y[:, i]) for i in range(problem.dim)]
+        xdot_cols = [tape.var(ydot[:, i]) for i in range(problem.dim)]
+        l_phys = _weighted_mean_square(
+            residual_columns(problem, colloc.t, colloc.u, x_cols, xdot_cols), eta_w)
         parts["phys"] = float(l_phys.value)
         term = run.gamma_phys * l_phys
         total = term if total is None else total + term
-    if total is None:
-        raise ConfigurationError("nothing to train on: both loss terms are empty")
-    grad = parameter_gradient(net, total)
+    adjoints = backward(total)
+    grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases)))
+    if phys_jet is not None:
+        phys_jet.backward(_stack(adjoints, x_cols), _stack(adjoints, xdot_cols), out=grad)
+    if data_jet is not None:
+        data_jet.backward(_adjoint(adjoints, y_data), out=grad, add=phys_jet is not None)
     return float(total.value), parts["data"], parts["phys"], grad
+
+
+def _adjoint(adjoints, leaf):
+    g = adjoints.get(id(leaf))
+    return np.zeros_like(leaf.value) if g is None else g
+
+
+def _stack(adjoints, cols):
+    """The adjoints of the leaf columns ``cols``, side by side."""
+    return np.column_stack([_adjoint(adjoints, col) for col in cols])
 
 
 def train(net: Network, problem: OdeProblem, dataset: DataSet,
@@ -156,9 +197,10 @@ def train(net: Network, problem: OdeProblem, dataset: DataSet,
     run.validate()
     layout = infer_layout(net, problem)
     eta_w = eta_weights(run.eta, colloc.t) if colloc is not None and len(colloc) else None
+    jets = _training_jets(net, layout, dataset, colloc, run)
 
     def evaluate():
-        return _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w)
+        return _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w, jets)
 
     return net, optimize(net, run, evaluate)
 

@@ -8,7 +8,7 @@ from pinncert.certify import (Certificate, Certifier, CertifyConfig,
                               SmoothDelta, actual_error, bound, bound_linear,
                               bound_nonlinear, estimate_K, estimate_lipschitz,
                               export_certificates, largest_singular_value,
-                              mean_residual_norm, predict_states,
+                              mean_residual_norm, predict_states, rhs_jacobian,
                               spectral_abscissa, subinterval_count,
                               trapezoid_bound_integral)
 from pinncert import certify, presets
@@ -154,6 +154,45 @@ def test_lipschitz_orthogonal_rotation_is_one():
                    jacobian_x=lambda t, x, u: a, linear_part=a)
     colloc = sample_collocation(p, 10, seed=0)
     assert estimate_lipschitz(p, colloc) == pytest.approx(1.0, abs=1e-12)
+
+
+def _pointwise_lipschitz(problem, colloc):
+    """The per-point loop: one Jacobian and one eigensolve per point."""
+    best = 0.0
+    for i in range(len(colloc)):
+        jac = rhs_jacobian(problem, colloc.t[i], colloc.x0[i], colloc.u[i])
+        best = max(best, largest_singular_value(jac))
+    return best
+
+
+def test_batched_lipschitz_equals_the_pointwise_loop():
+    pendulum = inverted_pendulum()
+    for seed in range(5):
+        colloc = sample_collocation(pendulum, 400, seed)
+        assert estimate_lipschitz(pendulum, colloc) == _pointwise_lipschitz(pendulum, colloc)
+    rng = np.random.default_rng(11)
+    for k in range(20):
+        n = int(rng.integers(1, 5))
+        a = rng.normal(size=(n, n))
+        # odd k: analytic Jacobian; even k: forward mode through the rhs
+        p = OdeProblem(name="linear", dim=n,
+                       rhs=lambda t, x, u, a=a: [sum(a[i, j] * x[j] for j in range(len(a)))
+                                                 for i in range(len(a))],
+                       t_final=1.0, box=Box(t=(0, 1), x0=[(-1, 1)] * n),
+                       jacobian_x=(lambda t, x, u, a=a: a) if k % 2 else None)
+        colloc = sample_collocation(p, 15, k)
+        assert estimate_lipschitz(p, colloc) == _pointwise_lipschitz(p, colloc)
+
+
+def test_lipschitz_names_the_first_non_finite_point():
+    p = OdeProblem(name="nan_jacobian", dim=1, rhs=lambda t, x, u: [x[0]], t_final=1.0,
+                   box=Box(t=(0, 1), x0=[(-1, 1)]),
+                   jacobian_x=lambda t, x, u: np.array([[np.nan if x[0] > 0.5 else 1.0]]))
+    colloc = sample_collocation(p, 50, 0)
+    colloc.x0[:] = 0.0
+    colloc.x0[[7, 30]] = 1.0
+    with pytest.raises(DomainError, match="collocation point 7$"):
+        estimate_lipschitz(p, colloc)
 
 
 def _power_iteration_sigma_max(j, iters=500):

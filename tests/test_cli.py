@@ -233,6 +233,32 @@ def test_invalid_config_values_exit_2_at_load(tmp_path, overrides):
     assert not (tmp_path / "out").exists()      # rejected before any work
 
 
+@pytest.mark.parametrize("overrides", [
+    {"gamma_data": float("nan")},
+    {"gamma_phys": float("nan")},
+    {"gamma_data": float("inf")},
+    {"gamma_phys": -1.0},
+    {"n_override": 0},
+    {"n_override": -3},
+    {"data_count": 0},
+    {"cert_colloc_count": 0},
+    {"surr_count": 0},
+    {"surr_holdout": 0},
+    {"surr_under_weight": 0.5},
+    {"surr_under_weight": float("nan")},
+    {"surr_under_weight": float("inf")},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_loss_weights_and_later_stage_counts_exit_2_at_load(tmp_path, overrides):
+    # each used to pass validation and fail late (or, for a NaN weight,
+    # drop its loss term silently)
+    path, cfg = tiny_decay_config(tmp_path, epochs=3, **overrides)
+    with pytest.raises(ConfigurationError):
+        load_config(path)
+    for command in ("train", "certify", "surrogate"):
+        assert main([command, "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()      # rejected before any work
+
+
 def test_surrogate_with_explicit_mu_missing_exits_2(tmp_path, capsys):
     path = tmp_path / "exp.ini"
     path.write_text(f"[experiment]\nout_dir = {tmp_path / 'out'}\n"

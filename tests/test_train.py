@@ -1,10 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from pinncert.network import Network, flatten_params, forward, init_network
+from pinncert import presets
+from pinncert.autodiff import Dual, Tape
+from pinncert.config import preset_config
+from pinncert.network import (MlpJet, Network, flatten_params, forward, init_network,
+                              parameter_gradient, set_params)
 from pinncert.ode import ConfigurationError, decay_1d
 from pinncert.train import (CollocationSet, DataSet, DivergenceError,
-                            TrainingRun, adam_step, anchor_dataset,
+                            TrainingRun, _loss_and_grad, adam_step, anchor_dataset,
                             assemble_inputs, eta_weights, export_loss_history,
                             infer_layout, loss_data, loss_physics,
                             sample_collocation, train)
@@ -189,9 +195,6 @@ def test_supervised_regression_fits_decay_curve():
 
 
 def test_total_loss_gradient_matches_finite_differences():
-    from pinncert.train import _loss_and_grad
-    from pinncert.network import set_params
-
     problem = decay_1d()
     net = init_network([1, 4, 1], seed=6, meta={"inputs": ["t"]})
     ds = anchor_dataset(problem, [[2.0]])
@@ -231,6 +234,11 @@ def test_divergence_reported_with_epoch():
 def test_run_validation():
     with pytest.raises(ConfigurationError):
         TrainingRun(gamma_data=-1.0).validate()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            TrainingRun(gamma_data=bad).validate()
+        with pytest.raises(ConfigurationError):
+            TrainingRun(gamma_phys=bad).validate()
     with pytest.raises(ConfigurationError):
         TrainingRun(gamma_data=0.0, gamma_phys=0.0).validate()
     with pytest.raises(ConfigurationError):
@@ -272,3 +280,133 @@ def test_export_loss_history(tmp_path):
     export_loss_history([(1.0, 0.5, 0.5), (0.25, 0.1, 0.15)], path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(data, [[0, 1.0, 0.5, 0.5], [1, 0.25, 0.1, 0.15]])
+
+
+# -- the training kernel against the tape -----------------------------------
+
+def _taped_loss_and_grad(net, problem, dataset, colloc, run, eta_w):
+    """The whole loss recorded on one general tape: the network through
+    ``forward(net, X, tape)`` and ``forward(net, Dual(X, e_t), tape)``, the
+    weights bound as the tape's leaves."""
+    layout = infer_layout(net, problem)
+    tape = Tape()
+    total, l_data, l_phys = None, 0.0, 0.0
+    if run.gamma_data > 0 and dataset is not None and len(dataset):
+        X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
+        diff = forward(net, X, tape) - dataset.x_target
+        loss = (diff * diff).sum(axis=1).mean()
+        l_data, total = float(loss.value), run.gamma_data * loss
+    if run.gamma_phys > 0 and colloc is not None and len(colloc):
+        X = assemble_inputs(layout, colloc.t, colloc.x0, colloc.u)
+        e_t = np.zeros_like(X)
+        e_t[:, 0] = 1.0
+        out = forward(net, Dual(X, e_t), tape)
+        y, ydot = out.value, out.derivative
+        f = problem.rhs(colloc.t, [y[:, i] for i in range(problem.dim)],
+                        [colloc.u[:, j] for j in range(colloc.u.shape[1])])
+        r = [ydot[:, i] - f[i] for i in range(problem.dim)]
+        sq = r[0] * r[0]
+        for r_i in r[1:]:
+            sq = sq + r_i * r_i
+        loss = (eta_w * sq).mean()
+        l_phys, term = float(loss.value), run.gamma_phys * loss
+        total = term if total is None else total + term
+    return float(total.value), l_data, l_phys, parameter_gradient(net, total)
+
+
+def _preset_problem(name, activation="tanh", colloc_count=300, **run_overrides):
+    cfg = preset_config(name)
+    cfg.activation = activation
+    problem = presets.build_problem(cfg)
+    net = presets.build_network(cfg, problem)
+    dataset = presets.build_dataset(cfg, problem)
+    colloc = sample_collocation(problem, colloc_count, cfg.seed)
+    run = presets.build_training_run(cfg)
+    for key, value in run_overrides.items():
+        setattr(run, key, value)
+    return net, problem, dataset, colloc, run
+
+
+def _kernel_and_tape(net, problem, dataset, colloc, run, steps):
+    """(kernel, tape) evaluations after ``steps`` Adam steps taken on the
+    tape's gradients."""
+    layout = infer_layout(net, problem)
+    eta_w = eta_weights(run.eta, colloc.t) if colloc is not None else None
+    theta = flatten_params(net)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    for step in range(steps):
+        grad = _taped_loss_and_grad(net, problem, dataset, colloc, run, eta_w)[3]
+        theta, m, v = adam_step(theta, grad, m, v, step + 1, run.lr)
+        set_params(net, theta)
+    return (_loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w),
+            _taped_loss_and_grad(net, problem, dataset, colloc, run, eta_w))
+
+
+@pytest.mark.parametrize("steps", [0, 20])
+@pytest.mark.parametrize("name", ["decay1d", "pendulum"])
+def test_tanh_kernel_equals_the_tape_bit_for_bit(name, steps):
+    kernel, taped = _kernel_and_tape(*_preset_problem(name), steps)
+    for a, b in zip(kernel, taped):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("activation", ["gelu", "silu", "sigmoid"])
+@pytest.mark.parametrize("name", ["decay1d", "pendulum"])
+def test_other_activations_match_the_tape(name, activation):
+    for steps in (0, 20):
+        kernel, taped = _kernel_and_tape(*_preset_problem(name, activation), steps)
+        for a, b in zip(kernel, taped):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("case", ["data_only", "physics_only", "eta_breakpoints"])
+def test_kernel_loss_variants_equal_the_tape(case):
+    net, problem, dataset, colloc, run = _preset_problem("pendulum", colloc_count=200)
+    if case == "data_only":
+        run.gamma_phys = 0.0
+    elif case == "physics_only":
+        dataset = None
+    else:
+        run.eta = [(0.0, 2.0), (0.05, 0.5), (0.1, 1.0)]
+    kernel, taped = _kernel_and_tape(net, problem, dataset, colloc, run, steps=3)
+    assert (kernel[1] == 0.0) == (case == "physics_only")
+    assert (kernel[2] == 0.0) == (case == "data_only")
+    for a, b in zip(kernel, taped):
+        assert np.array_equal(a, b)
+
+
+def test_kernel_with_both_terms_empty_is_a_configuration_error():
+    net, problem, _, colloc, run = _preset_problem("decay1d", colloc_count=10)
+    layout = infer_layout(net, problem)
+    with pytest.raises(ConfigurationError, match="nothing to train on"):
+        _loss_and_grad(net, problem, None, None, run, layout, None)
+    run.gamma_phys = 0.0      # collocation points, but no weight on them
+    with pytest.raises(ConfigurationError, match="nothing to train on"):
+        _loss_and_grad(net, problem, None, colloc, run, layout, None)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "lbfgs"])
+def test_kernel_buffers_are_built_once_per_set_per_train_call(monkeypatch, optimizer):
+    built = []
+
+    class CountingJet(MlpJet):
+        def __init__(self, *args, **kwargs):
+            built.append(len(args[1]))
+            super().__init__(*args, **kwargs)
+
+    # the package's ``train`` attribute is the function; patch the module
+    monkeypatch.setattr(importlib.import_module("pinncert.train"), "MlpJet", CountingJet)
+    net, problem, dataset, colloc, run = _preset_problem(
+        "decay1d", colloc_count=30, epochs=15, optimizer=optimizer)
+    train(net, problem, dataset, colloc, run)
+    assert sorted(built) == [1, 30]      # the one anchor row and the collocation set
+    built.clear()
+    run.gamma_phys = 0.0
+    train(net, problem, dataset, colloc, run)
+    assert built == [1]
+
+
+def test_kernel_rejects_input_rows_of_the_wrong_width():
+    net = init_network([2, 3, 1], seed=0)
+    with pytest.raises(ValueError, match="input rows"):
+        MlpJet(net, np.zeros((4, 3)))
