@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _special
 
 
 class UsageError(RuntimeError):
@@ -186,7 +185,7 @@ class Var:
 
     def erf(self):
         v = self.value
-        return self._unary(_special.erf(v),
+        return self._unary(_scipy_erf(v),
                            lambda g: g * (2.0 / math.sqrt(math.pi)) * np.exp(-v * v))
 
 
@@ -339,7 +338,14 @@ def erf(x):
     if isinstance(x, Dual):
         return Dual(erf(x.value),
                     (2.0 / math.sqrt(math.pi)) * exp(-x.value * x.value) * x.derivative)
-    return _special.erf(x)
+    return _scipy_erf(x)
+
+
+def _scipy_erf(x):
+    # imported on first use: only gelu networks need erf, and importing
+    # scipy.special would otherwise double the CLI's start-up time
+    from scipy.special import erf as scipy_erf
+    return scipy_erf(x)
 
 
 def sigmoid(x):

@@ -109,15 +109,24 @@ def largest_singular_value(j):
 
 
 def rhs_jacobian(problem: OdeProblem, t, x, u):
-    """d f / d x at one point: analytic if provided, else forward mode."""
-    if problem.jacobian_x is not None:
-        return np.asarray(problem.jacobian_x(t, x, u), dtype=float)
-    n = problem.dim
+    """d f / d x: (d, d) at one point x (d,), (d, d, B) on batch columns x (d, B).
+
+    Analytic if provided (a constant (d, d) result stands for every column),
+    else forward mode with one ``Dual`` per state column over the whole batch.
+    """
     x = np.asarray(x, dtype=float)
-    jac = np.empty((n, n))
+    n = problem.dim
+    shape = (n, n, *x.shape[1:])
+    if problem.jacobian_x is not None:
+        jac = np.asarray(problem.jacobian_x(t, x, u), dtype=float)
+        if jac.ndim < len(shape):       # a constant matrix for every column
+            jac = jac[..., np.newaxis]
+        return np.broadcast_to(jac, shape)
+    zero, one = np.zeros(x.shape[1:]), np.ones(x.shape[1:])
+    jac = np.empty(shape)
     for j in range(n):
-        x_dual = [Dual(x[i], 1.0 if i == j else 0.0) for i in range(n)]
-        f = problem.rhs(t, x_dual, list(u))
+        x_dual = [Dual(x[i], one if i == j else zero) for i in range(n)]
+        f = problem.rhs(t, x_dual, u)
         for i in range(n):
             jac[i, j] = f[i].derivative if isinstance(f[i], Dual) else 0.0
     return jac
@@ -127,8 +136,8 @@ def estimate_lipschitz(problem: OdeProblem, colloc: CollocationSet):
     """L = max over collocation points of sigma_max(df/dx)."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
-    jac = np.stack([rhs_jacobian(problem, colloc.t[i], colloc.x0[i], colloc.u[i])
-                    for i in range(len(colloc))])
+    # one Jacobian call on batch columns, batch axis moved first: (N, d, d)
+    jac = np.moveaxis(rhs_jacobian(problem, colloc.t, colloc.x0.T, colloc.u.T), -1, 0)
     bad = ~np.isfinite(jac).all(axis=(1, 2))
     if bad.any():
         raise DomainError(f"non-finite Jacobian at collocation point {int(np.argmax(bad))}")

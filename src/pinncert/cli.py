@@ -189,8 +189,10 @@ def cmd_compare(args):
     if args.surrogate:
         scols, sdata = _read_csv(args.surrogate)
         sidx = {c: i for i, c in enumerate(scols)}
-        if "e_certified" not in sidx or "e_nn" not in sidx:
-            raise ConfigurationError("surrogate CSV must have e_certified and e_nn columns")
+        missing = [c for c in ("t", "e_certified", "e_nn") if c not in sidx]
+        if missing:
+            raise ConfigurationError(f"surrogate CSV lacks column(s) {', '.join(missing)}; "
+                                     "it must have t, e_certified and e_nn")
         st = sdata[:, sidx["t"]]
         ct = data[:, idx["t"]]
         if len(st) != len(ct) or not np.allclose(st, ct):

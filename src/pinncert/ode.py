@@ -4,6 +4,13 @@ Reference trajectories are for validation only; certificates never touch
 them.  Right-hand sides are written with the dispatching math functions
 from :mod:`.autodiff`, so the same definition serves plain evaluation,
 forward-mode Jacobians, and tape-recorded training batches.
+
+Batch columns: ``rhs(t, x, u)`` and ``jacobian_x(t, x, u)`` take x and u
+either as one point, x (dim,) and u (control_dim,), or as B points in
+columns, x (dim, B) and u (control_dim, B).  The rhs returns dim components
+of the batch shape; the Jacobian returns (dim, dim) for one point and
+(dim, dim, B) for columns, and a constant (dim, dim) matrix stands for
+every column.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ class OdeProblem:
     rhs: callable            # (t, x, u) -> dim components; x, u may hold batch columns
     t_final: float
     box: Box
-    jacobian_x: callable = None   # analytic (t, x, u) -> (dim, dim), optional
+    jacobian_x: callable = None   # analytic (t, x, u) -> (dim, dim[, B]) or constant (dim, dim)
     linear_part: np.ndarray = None
     control_dim: int = 0
     exact_solution: callable = None   # (t, x0) -> state, when known; x0 as in rhs
@@ -147,7 +154,7 @@ def inverted_pendulum(friction=PENDULUM_D) -> OdeProblem:
     def jac(t, x, u):
         phi = x[0]
         uu = u[0] if len(u) else 0.0
-        out = np.zeros((4, 4))
+        out = np.zeros((4, 4, *np.shape(phi)))
         out[0, 1] = 1.0
         out[1, 0] = (m * g * a * np.cos(phi) - m * a * np.sin(phi) * uu) / denom
         out[1, 1] = -d / denom

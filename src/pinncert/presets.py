@@ -107,10 +107,13 @@ def make_pendulum_schedule(n_intervals=SCHEDULE_INTERVALS, t_total=SCHEDULE_T_TO
     return rows
 
 
+SCHEDULE_COLUMNS = ("interval", "t_start", "phi", "phidot", "s", "sdot", "u")
+
+
 def export_schedule(rows, path):
     """CSV `interval,t_start,phi,phidot,s,sdot,u`."""
     with open(path, "w") as fh:
-        fh.write("interval,t_start,phi,phidot,s,sdot,u\n")
+        fh.write(",".join(SCHEDULE_COLUMNS) + "\n")
         for i, (t_start, x0, u) in enumerate(rows):
             vals = [t_start, *x0, u]
             fh.write(str(i) + "," + ",".join(f"{v:.17g}" for v in vals) + "\n")
@@ -118,8 +121,13 @@ def export_schedule(rows, path):
 
 def load_schedule(path, expected_intervals=SCHEDULE_INTERVALS):
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] != expected_intervals or data.shape[1] != 7:
+    if data.shape[0] != expected_intervals or data.shape[1] != len(SCHEDULE_COLUMNS):
         raise ConfigurationError(
             f"schedule must have {expected_intervals} rows of "
-            f"interval,t_start,phi,phidot,s,sdot,u; got shape {data.shape}")
+            f"{','.join(SCHEDULE_COLUMNS)}; got shape {data.shape}")
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0]
+        raise ConfigurationError(
+            f"schedule row {row}, column {SCHEDULE_COLUMNS[col]}: {data[row, col]} is not finite")
     return [(float(r[1]), r[2:6].copy(), float(r[6])) for r in data]

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import erf as scipy_erf
 
 from pinncert.autodiff import (ACTIVATIONS, Dual, Tape, UsageError, backward,
                                erf, exp, sigmoid, sin, sqrt, tanh)
@@ -110,6 +115,23 @@ def test_dispatch_functions_agree_with_numpy_on_arrays():
     np.testing.assert_allclose(sqrt(np.abs(x) + 1), np.sqrt(np.abs(x) + 1))
     np.testing.assert_allclose(sigmoid(x), 1 / (1 + np.exp(-x)))
     assert erf(0.0) == 0.0
+
+
+def test_erf_equals_scipy_bit_for_bit():
+    x = np.linspace(-4, 4, 33)
+    np.testing.assert_array_equal(erf(x), scipy_erf(x))
+    np.testing.assert_array_equal(erf(Tape().var(x)).value, scipy_erf(x))
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # scipy is needed only for erf (gelu networks) and loads on first use
+    code = "import sys, pinncert.cli; print('scipy' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_forward_mode_through_var_components():

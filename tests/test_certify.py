@@ -12,6 +12,7 @@ from pinncert.certify import (Certificate, Certifier, CertifyConfig,
                               spectral_abscissa, subinterval_count,
                               trapezoid_bound_integral)
 from pinncert import certify, presets
+from pinncert.autodiff import Dual
 from pinncert.cli import main
 from pinncert.network import Network, init_network, save_network
 from pinncert.ode import (Box, ConfigurationError, OdeProblem, decay_1d,
@@ -156,30 +157,77 @@ def test_lipschitz_orthogonal_rotation_is_one():
     assert estimate_lipschitz(p, colloc) == pytest.approx(1.0, abs=1e-12)
 
 
+def _per_point_jacobian(problem, t, x, u):
+    """The per-point oracle: analytic at one point, else one Dual per state, scalar tangents."""
+    if problem.jacobian_x is not None:
+        return np.asarray(problem.jacobian_x(t, x, u), dtype=float)
+    n = problem.dim
+    jac = np.empty((n, n))
+    for j in range(n):
+        f = problem.rhs(t, [Dual(x[i], 1.0 if i == j else 0.0) for i in range(n)], list(u))
+        for i in range(n):
+            jac[i, j] = f[i].derivative if isinstance(f[i], Dual) else 0.0
+    return jac
+
+
 def _pointwise_lipschitz(problem, colloc):
     """The per-point loop: one Jacobian and one eigensolve per point."""
     best = 0.0
     for i in range(len(colloc)):
-        jac = rhs_jacobian(problem, colloc.t[i], colloc.x0[i], colloc.u[i])
+        jac = _per_point_jacobian(problem, colloc.t[i], colloc.x0[i], colloc.u[i])
         best = max(best, largest_singular_value(jac))
     return best
 
 
+def _linear_problem(a, analytic):
+    n = len(a)
+    return OdeProblem(name="linear", dim=n,
+                      rhs=lambda t, x, u: [sum(a[i, j] * x[j] for j in range(n))
+                                           for i in range(n)],
+                      t_final=1.0, box=Box(t=(0, 1), x0=[(-1, 1)] * n),
+                      jacobian_x=(lambda t, x, u: a) if analytic else None)
+
+
+def _forward_mode(problem):
+    problem.jacobian_x = None
+    return problem
+
+
+@pytest.mark.parametrize("problem", [
+    inverted_pendulum(), _forward_mode(inverted_pendulum()), decay_1d(),
+    _linear_problem(np.array([[0.5, -1.0, 2.0], [0.0, 3.0, 1.0], [-2.0, 1.0, 0.25]]), True),
+    _linear_problem(np.array([[0.5, -1.0], [2.0, 3.0]]), False),
+], ids=["pendulum", "pendulum-forward-mode", "decay1d", "linear", "linear-forward-mode"])
+def test_batched_rhs_jacobian_equals_the_per_point_oracle(problem):
+    d = problem.dim
+    for seed in range(3):
+        colloc = sample_collocation(problem, 200, seed)
+        batch = rhs_jacobian(problem, colloc.t, colloc.x0.T, colloc.u.T)
+        assert batch.shape == (d, d, 200)
+        oracle = np.stack([_per_point_jacobian(problem, colloc.t[i], colloc.x0[i], colloc.u[i])
+                           for i in range(200)], axis=-1)
+        np.testing.assert_array_equal(batch, oracle)
+        one = rhs_jacobian(problem, colloc.t[0], colloc.x0[0], colloc.u[0])
+        assert one.shape == (d, d)
+        np.testing.assert_array_equal(one, oracle[..., 0])
+
+
 def test_batched_lipschitz_equals_the_pointwise_loop():
     pendulum = inverted_pendulum()
-    for seed in range(5):
+    for seed in range(20):
         colloc = sample_collocation(pendulum, 400, seed)
         assert estimate_lipschitz(pendulum, colloc) == _pointwise_lipschitz(pendulum, colloc)
+    forward_mode = _forward_mode(inverted_pendulum())
+    for seed in range(3):
+        colloc = sample_collocation(forward_mode, 400, seed)
+        assert (estimate_lipschitz(forward_mode, colloc)
+                == _pointwise_lipschitz(forward_mode, colloc)
+                == estimate_lipschitz(pendulum, colloc))
     rng = np.random.default_rng(11)
     for k in range(20):
         n = int(rng.integers(1, 5))
-        a = rng.normal(size=(n, n))
         # odd k: analytic Jacobian; even k: forward mode through the rhs
-        p = OdeProblem(name="linear", dim=n,
-                       rhs=lambda t, x, u, a=a: [sum(a[i, j] * x[j] for j in range(len(a)))
-                                                 for i in range(len(a))],
-                       t_final=1.0, box=Box(t=(0, 1), x0=[(-1, 1)] * n),
-                       jacobian_x=(lambda t, x, u, a=a: a) if k % 2 else None)
+        p = _linear_problem(rng.normal(size=(n, n)), analytic=k % 2)
         colloc = sample_collocation(p, 15, k)
         assert estimate_lipschitz(p, colloc) == _pointwise_lipschitz(p, colloc)
 
@@ -187,7 +235,7 @@ def test_batched_lipschitz_equals_the_pointwise_loop():
 def test_lipschitz_names_the_first_non_finite_point():
     p = OdeProblem(name="nan_jacobian", dim=1, rhs=lambda t, x, u: [x[0]], t_final=1.0,
                    box=Box(t=(0, 1), x0=[(-1, 1)]),
-                   jacobian_x=lambda t, x, u: np.array([[np.nan if x[0] > 0.5 else 1.0]]))
+                   jacobian_x=lambda t, x, u: np.where(x[0] > 0.5, np.nan, 1.0)[None, None])
     colloc = sample_collocation(p, 50, 0)
     colloc.x0[:] = 0.0
     colloc.x0[[7, 30]] = 1.0

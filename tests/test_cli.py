@@ -310,6 +310,23 @@ def test_schedule_command_and_validation(tmp_path, capsys):
         load_schedule(truncated)
 
 
+@pytest.mark.parametrize("column,value", [("u", "nan"), ("phi", "inf"), ("t_start", "-inf")])
+def test_non_finite_schedule_entry_exits_2_naming_row_and_column(tmp_path, capsys, column,
+                                                                 value):
+    path, schedule = tiny_pendulum_setup(tmp_path)
+    lines = schedule.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[3] = ",".join(cells)
+    schedule.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=f"row 2, column {column}: "):
+        load_schedule(schedule)
+    assert main(["certify", "--config", str(path), "--schedule", str(schedule),
+                 "--intervals", "3"]) == 2
+    assert f"row 2, column {column}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
+
+
 def test_schedule_matches_direct_generation(tmp_path):
     sched_path = tmp_path / "schedule.csv"
     main(["schedule", str(sched_path)])
@@ -332,3 +349,12 @@ def test_compare_misaligned_grids_exits_2(tmp_path):
     surr = tmp_path / "surr.csv"
     surr.write_text("t,e_certified,e_nn\n0,0.3,0.4\n")
     assert main(["compare", str(certs), str(surr)]) == 2
+
+
+def test_compare_surrogate_without_t_column_exits_2(tmp_path, capsys):
+    certs = tmp_path / "certs.csv"
+    certs.write_text("t,e_init,i_hat,e_int,total\n0,0.1,0.1,0.1,0.3\n")
+    surr = tmp_path / "surr.csv"
+    surr.write_text("time,e_certified,e_nn\n0,0.3,0.4\n")
+    assert main(["compare", str(certs), str(surr)]) == 2
+    assert "column(s) t;" in capsys.readouterr().err

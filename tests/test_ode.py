@@ -69,6 +69,18 @@ def test_pendulum_analytic_jacobian_matches_forward_mode():
                                    rhs_jacobian(p_auto, 0.0, x, u), atol=1e-10)
 
 
+def test_pendulum_jacobian_takes_batch_columns():
+    p = inverted_pendulum()
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-3, 3, size=(4, 25))
+    u = rng.uniform(-15, 15, size=(1, 25))
+    batch = p.jacobian_x(0.0, x, u)
+    assert batch.shape == (4, 4, 25)
+    assert p.jacobian_x(0.0, x[:, 0], u[:, 0]).shape == (4, 4)
+    per_point = np.stack([p.jacobian_x(0.0, x[:, k], u[:, k]) for k in range(25)], axis=-1)
+    np.testing.assert_array_equal(batch, per_point)
+
+
 def test_zero_rhs_constant_trajectory():
     p = OdeProblem(name="still", dim=2, rhs=lambda t, x, u: [0.0 * x[0], 0.0 * x[1]],
                    t_final=1.0, box=Box(t=(0, 1), x0=[(0, 1), (0, 1)]))
