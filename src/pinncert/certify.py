@@ -19,8 +19,8 @@ import numpy as np
 
 from .autodiff import Dual
 from .network import Network, assemble_inputs, forward, infer_layout, time_tangent
-from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
-                  sample_collocation, solve_reference)
+from .ode import (REFERENCE_STEP, CollocationSet, ConfigurationError, NumericError,
+                  OdeProblem, sample_collocation, solve_reference)
 
 
 class DomainError(ValueError):
@@ -29,6 +29,10 @@ class DomainError(ValueError):
 
 class DegenerateSmoothingError(NumericError):
     """K estimation hit a non-finite second derivative; use mu > 0."""
+
+
+class ResidualOverflowError(NumericError):
+    """The residual majorant delta is not finite on the time horizon."""
 
 
 # -- residual -------------------------------------------------------------
@@ -160,7 +164,10 @@ def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FA
 
     Central second differences on a uniform grid, scaled by a safety
     factor.  The stencil reaches slightly outside [0, t_end] at the ends;
-    the network extends smoothly so this is well defined.
+    the network extends smoothly so this is well defined.  A non-finite
+    delta on the grid raises :class:`ResidualOverflowError`; a finite delta
+    with a non-finite second difference raises
+    :class:`DegenerateSmoothingError`.
     """
     if grid_points < 10:
         raise ConfigurationError("grid_points must be >= 10")
@@ -172,7 +179,13 @@ def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FA
     def g(x):
         return np.exp(-L * x) * np.atleast_1d(delta(x))
 
-    second = (g(s - h) - 2.0 * g(s) + g(s + h)) / (h * h)
+    mid = np.atleast_1d(delta(s))
+    bad = ~np.isfinite(mid)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ResidualOverflowError(f"residual majorant delta(s) = {mid[i]} at s = {s[i]}: "
+                                    "the residual or its squared norm overflows")
+    second = (g(s - h) - 2.0 * (np.exp(-L * s) * mid) + g(s + h)) / (h * h)
     if not np.all(np.isfinite(second)):
         raise DegenerateSmoothingError(
             "second derivative of the damped residual majorant is not finite; "
@@ -302,8 +315,12 @@ class Certifier:
             delta = SmoothDelta(ResidualFn(self.net, self.problem, x0, u), self.mu)
             init_error = float(np.linalg.norm(
                 x0 - predict_states(self.net, self.problem, x0, u, 0.0)[0]))
-            K = estimate_K(delta, self.rate, self.problem.t_final, self.config.K_grid,
-                           self.config.safety_factor)
+            try:
+                K = estimate_K(delta, self.rate, self.problem.t_final, self.config.K_grid,
+                               self.config.safety_factor)
+            except ResidualOverflowError as exc:
+                raise ResidualOverflowError(
+                    f"{exc}, on the trajectory x0={x0.tolist()}, u={u.tolist()}") from exc
             self._trajectories[key] = TrajectoryConstants(self, delta, init_error, K)
         return self._trajectories[key]
 
@@ -358,13 +375,16 @@ def predict_states(net: Network, problem: OdeProblem, x0, u, t_grid):
 # -- validation-only reference comparison ---------------------------------
 
 def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
-                 h=1e-4):
+                 h=REFERENCE_STEP):
     """||x(t) - phihat(t)|| at the query times: (T,) for one (x0, u).
 
     Rows x0 (B, d) and u (B, m) that share the query times give (B, T).  The
-    reference is the closed form if the problem has one, else one RK4 pass
-    over a grid through 0 and every distinct query time, each gap split into
-    equal steps no longer than h.  The times may be unsorted or repeated.
+    reference is the closed form if the problem has one, else one pass of
+    the sixth-order :func:`solve_reference` over a grid through 0 and every
+    distinct query time, each gap split into equal steps no longer than h.
+    At the default h = 2e-3 the pendulum reference is within 1e-14 of a
+    20-digit solution over the training horizon.  The times may be unsorted
+    or repeated.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ConfigurationError(f"reference step h must be finite and > 0, got {h}")

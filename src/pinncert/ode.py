@@ -1,8 +1,10 @@
-"""ODE problems, the two benchmark systems, domain sampling, and the RK4 reference.
+"""ODE problems, the two benchmark systems, domain sampling, and the reference solver.
 
 Reference trajectories are for validation only; certificates never touch
-them.  Right-hand sides are written with the dispatching math functions
-from :mod:`.autodiff`, so the same definition serves plain evaluation,
+them.  They come from Butcher's fixed-step seven-stage sixth-order
+Runge-Kutta method, by default at steps of ``REFERENCE_STEP``.  Right-hand
+sides are written with the dispatching math functions from
+:mod:`.autodiff`, so the same definition serves plain evaluation,
 forward-mode Jacobians, and tape-recorded training batches.
 
 Batch columns: ``rhs(t, x, u)`` and ``jacobian_x(t, x, u)`` take x and u
@@ -20,6 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import cos, sin
+
+
+# Default reference step.  On pendulum box points solved to t = 0.1 the
+# sixth-order step at h = 2e-3 is within 1e-14 of a 20-digit solution, and
+# halving it moves the states by roundoff only.
+REFERENCE_STEP = 2e-3
 
 
 class NumericError(RuntimeError):
@@ -181,13 +189,16 @@ def _first_nonfinite_time(x, t):
 
 
 def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
-    """Fixed-step classical RK4 integration on the given grid.
+    """Fixed-step integration on the given grid with Butcher's seven-stage
+    sixth-order Runge-Kutta method (Hairer, Norsett & Wanner, Solving ODEs I,
+    section II.5).
 
     One trajectory: x0 (d,), u (m,), t_grid (T,); states are (T, d).  A batch
     of B trajectories: x0 (B, d), u (B, m), and t_grid either shared (T,) or
     per row (T, B); states are (T, B, d).  The loop steps ``x = x0.T``, so a
     single trajectory keeps scalar components and a batch passes the rhs one
-    column per component.
+    column per component.  A non-finite state raises :class:`BlowUpError`
+    with the earliest grid time at which a row blew up.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -207,14 +218,20 @@ def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
     x, u = x0.T, u.T
     states = np.empty((len(t_grid), *x0.shape))
     states[0] = x0
-    for i, (t0, t1) in enumerate(zip(t_grid[:-1], t_grid[1:]), 1):
-        h = t1 - t0
-        k1 = f(t0, x, u)
-        k2 = f(t0 + h / 2, x + h / 2 * k1, u)
-        k3 = f(t0 + h / 2, x + h / 2 * k2, u)
-        k4 = f(t1, x + h * k3, u)
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(x).all():
-            raise BlowUpError(_first_nonfinite_time(x, t1))
-        states[i] = x.T
+    # a blow-up is reported as BlowUpError, not as numpy warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (t0, t1) in enumerate(zip(t_grid[:-1], t_grid[1:]), 1):
+            h = t1 - t0
+            k1 = f(t0, x, u)
+            k2 = f(t0 + h / 3, x + h * (k1 / 3), u)
+            k3 = f(t0 + 2 * h / 3, x + h * (2 / 3 * k2), u)
+            k4 = f(t0 + h / 3, x + h * (k1 / 12 + k2 / 3 - k3 / 12), u)
+            k5 = f(t0 + h / 2, x + h * (-k1 / 16 + 9 / 8 * k2 - 3 / 16 * k3 - 3 / 8 * k4), u)
+            k6 = f(t0 + h / 2, x + h * (9 / 8 * k2 - 3 / 8 * k3 - 3 / 4 * k4 + k5 / 2), u)
+            k7 = f(t1, x + h * (9 / 44 * k1 - 9 / 11 * k2 + 63 / 44 * k3 + 18 / 11 * k4
+                                - 16 / 11 * k6), u)
+            x = x + h * (11 / 120 * (k1 + k7) + 27 / 40 * (k3 + k4) - 4 / 15 * (k5 + k6))
+            if not np.isfinite(x).all():
+                raise BlowUpError(_first_nonfinite_time(x, t1))
+            states[i] = x.T
     return Trajectory(times=t_grid, states=states)

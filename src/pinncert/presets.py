@@ -6,13 +6,15 @@ the library a network or certificate always sees a single constant u.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .certify import CertifyConfig
 from .config import ExperimentConfig
 from .network import Network, init_network
-from .ode import (ConfigurationError, OdeProblem, decay_1d, inverted_pendulum,
-                  sample_collocation, solve_reference)
+from .ode import (REFERENCE_STEP, ConfigurationError, OdeProblem, decay_1d,
+                  inverted_pendulum, sample_collocation, solve_reference)
 from .train import DataSet, TrainingRun, anchor_dataset, merge_datasets, train
 
 SCHEDULE_INTERVALS = 50
@@ -35,14 +37,19 @@ def build_network(cfg: ExperimentConfig, problem: OdeProblem) -> Network:
 
 
 def build_dataset(cfg: ExperimentConfig, problem: OdeProblem, seed=None) -> DataSet:
-    """Supervised records: t=0 anchors plus (for the pendulum) RK4 samples."""
+    """Supervised records: t=0 anchors plus (for the pendulum) reference samples.
+
+    Each sample's target comes from ``ceil(t_max / REFERENCE_STEP)`` equal
+    sixth-order steps to its own time t <= t_max, the end of the time box.
+    """
     seed = cfg.seed if seed is None else seed
     if cfg.preset == "decay1d":
         return anchor_dataset(problem, [[2.0]])
     rng_points = sample_collocation(problem, cfg.data_count, seed + 1)
-    # one batched pass on a per-row grid: row i takes the same 100 steps to t_i
-    # as a serial solve, so the targets equal a serial solve's bit for bit
-    grid = np.linspace(0.0, rng_points.t, 101)
+    # one batched pass on a per-row grid: row i takes the same steps to t_i as
+    # a serial solve, so the targets equal a serial solve's bit for bit
+    steps = math.ceil(problem.box.t[1] / REFERENCE_STEP)
+    grid = np.linspace(0.0, rng_points.t, steps + 1)
     targets = solve_reference(problem, rng_points.x0, rng_points.u, grid).states[-1]
     data = DataSet(t=rng_points.t, x0=rng_points.x0, x_target=targets, u=rng_points.u)
     anchors = anchor_dataset(problem, rng_points.x0, u=rng_points.u)
@@ -85,11 +92,12 @@ _FEEDBACK_GAINS = (30.4348589, 7.93820539, -1.0, -2.28141715)
 
 
 def make_pendulum_schedule(n_intervals=SCHEDULE_INTERVALS, t_total=SCHEDULE_T_TOTAL,
-                           x0=(0.15, 0.0, 0.0, 0.0), h=1e-4):
+                           x0=(0.15, 0.0, 0.0, 0.0), h=REFERENCE_STEP):
     """Piecewise-constant controls and interval initial values.
 
     u is sampled from clamped LQR state feedback at each interval start;
-    the next interval's x0 comes from an RK4 pass through the interval.
+    the next interval's x0 comes from a fixed-step sixth-order
+    :func:`solve_reference` pass through the interval at steps of h.
     Returns a list of (t_start, x0 (4,), u) tuples.
     """
     problem = inverted_pendulum()

@@ -327,6 +327,20 @@ def test_non_finite_schedule_entry_exits_2_naming_row_and_column(tmp_path, capsy
     assert not (tmp_path / "out" / "certificates.csv").exists()
 
 
+def test_overflowing_residual_exits_3_naming_the_trajectory(tmp_path, capsys):
+    # a finite but huge control overflows the residual norm; mu > 0 cannot help
+    path, schedule = tiny_pendulum_setup(tmp_path)
+    rows = load_schedule(schedule)
+    rows[1] = (rows[1][0], rows[1][1], 1e300)
+    export_schedule(rows, schedule)
+    with np.errstate(over="ignore"):
+        assert main(["certify", "--config", str(path), "--schedule", str(schedule),
+                     "--intervals", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "overflows" in err and "u=[1e+300]" in err and "x0=[0.1, 0.0, 0.0, 0.0]" in err
+    assert "mu > 0" not in err
+
+
 def test_schedule_matches_direct_generation(tmp_path):
     sched_path = tmp_path / "schedule.csv"
     main(["schedule", str(sched_path)])

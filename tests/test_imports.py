@@ -1,7 +1,11 @@
-"""The package's import graph: module-level imports only, and no cycles."""
+"""The package's import graph (module-level imports only, no cycles) and what
+the reference solves load."""
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pinncert"
@@ -44,3 +48,27 @@ def test_intra_package_import_graph_is_acyclic():
     assert all(targets <= MODULES for targets in graph.values()), graph
     order = list(graphlib.TopologicalSorter(graph).static_order())   # CycleError on a cycle
     assert set(order) == MODULES
+
+
+def test_reference_solves_do_not_load_scipy_integrate(tmp_path):
+    # scipy.integrate alone would add about 50 MB to a process's peak RSS
+    code = """if True:
+        import sys
+        import numpy as np
+        from pinncert.certify import actual_error
+        from pinncert.cli import main
+        from pinncert.network import init_network
+        from pinncert.ode import inverted_pendulum
+        assert main(["schedule", sys.argv[1]]) == 0
+        net = init_network([6, 8, 4], seed=0, meta={"inputs": ["t", "x0", "u"]})
+        rng = np.random.default_rng(0)
+        err = actual_error(net, inverted_pendulum(), rng.uniform(-1, 1, (3, 4)),
+                           rng.uniform(-5, 5, (3, 1)), np.linspace(0.0, 0.08, 20))
+        assert err.shape == (3, 20)
+        print("scipy.integrate" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "schedule.csv")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "False"

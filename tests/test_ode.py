@@ -1,12 +1,17 @@
+import math
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
 from pinncert.certify import rhs_jacobian
 from pinncert.config import preset_config
 from pinncert.presets import build_dataset
-from pinncert.ode import (PENDULUM_A, PENDULUM_J, PENDULUM_M, GRAVITY,
-                          BlowUpError, Box, ConfigurationError, OdeProblem,
-                          Trajectory, decay_1d, inverted_pendulum, solve_reference)
+from pinncert.ode import (GRAVITY, PENDULUM_A, PENDULUM_D, PENDULUM_J, PENDULUM_M,
+                          REFERENCE_STEP, BlowUpError, Box, ConfigurationError,
+                          OdeProblem, Trajectory, decay_1d, inverted_pendulum,
+                          sample_collocation, solve_reference)
 
 
 def test_decay_rhs_value():
@@ -96,7 +101,8 @@ def test_rk4_matches_closed_form_decay():
     assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-9
 
 
-def test_rk4_observed_order_at_least_3_9():
+def test_reference_observed_order_at_least_5_8():
+    # a sixth-order step: halving h divides the error by about 2**6
     p = decay_1d()
     errs = []
     for steps in (20, 40, 80):
@@ -104,7 +110,30 @@ def test_rk4_observed_order_at_least_3_9():
         traj = solve_reference(p, [2.0], (), t)
         errs.append(abs(traj.states[-1, 0] - 2.0 * np.exp(-4.0)))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(slopes >= 3.9)
+    assert np.all(slopes >= 5.8)
+
+
+def _mpmath_pendulum_state(x0, u, t):
+    """The pendulum state at t from mpmath's Taylor-series solver at 20 digits."""
+    m, a, j, d, g = PENDULUM_M, PENDULUM_A, PENDULUM_J, PENDULUM_D, GRAVITY
+    with mpmath.workdps(20):
+        def rhs(_, y):
+            return [y[1], (m * g * a * mpmath.sin(y[0]) - d * y[1]
+                           + m * a * mpmath.cos(y[0]) * u) / (j + m * a * a), y[3], u]
+
+        solution = mpmath.odefun(rhs, 0, [mpmath.mpf(v) for v in x0])
+        return np.array([float(v) for v in solution(t)])
+
+
+def test_reference_step_accuracy_against_mpmath():
+    p = inverted_pendulum()
+    points = sample_collocation(p, 3, seed=11)
+    t_end = p.box.t[1]
+    grid = np.linspace(0.0, t_end, math.ceil(t_end / REFERENCE_STEP) + 1)
+    for x0, u in zip(points.x0, points.u[:, 0]):
+        ours = solve_reference(p, x0, [u], grid).states[-1]
+        exact = _mpmath_pendulum_state(x0, float(u), t_end)
+        assert np.max(np.abs(ours - exact)) <= 2e-14
 
 
 def test_pendulum_energy_conserved_without_friction():
@@ -124,6 +153,14 @@ def test_blow_up_reports_time():
     with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore"):
         solve_reference(p, [100.0], (), np.linspace(0, 10, 101))
     assert exc.value.t > 0
+
+
+@pytest.mark.parametrize("x0", [[100.0], [[20.0], [100.0]]], ids=["single", "batch"])
+def test_blow_up_raises_no_numpy_warning(x0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError):
+            solve_reference(_quad_problem(), x0, (), np.linspace(0, 10, 101))
 
 
 def _quad_problem():
@@ -171,8 +208,9 @@ def test_dataset_targets_equal_serial_oracle():
     p = inverted_pendulum()
     data = build_dataset(cfg, p)
     n = cfg.data_count
+    steps = math.ceil(p.box.t[1] / REFERENCE_STEP)
     for i in range(n):
-        grid = np.linspace(0.0, data.t[i], 101)
+        grid = np.linspace(0.0, data.t[i], steps + 1)
         expected = solve_reference(p, data.x0[i], data.u[i], grid).states[-1]
         np.testing.assert_array_equal(data.x_target[i], expected)
 
