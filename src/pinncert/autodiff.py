@@ -7,9 +7,8 @@ full-batch training step costs a few hundred numpy calls, not millions of
 scalar node allocations.
 
 Forward mode: ``Dual`` carries (value, tangent) pairs through the same
-arithmetic.  The components of a ``Dual`` may themselves be ``Var``s, which
-is how the residual's time derivative stays differentiable with respect to
-the network weights.
+arithmetic.  The components of a ``Dual`` may themselves be ``Var``s; the
+tests build that form as a taped oracle for the training kernel's gradients.
 """
 
 from __future__ import annotations

@@ -72,7 +72,9 @@ class ResidualFn:
                                                       x0=self.x0, u=self.u))
 
     def norms(self, t):
-        return np.linalg.norm(self(t), axis=1)
+        # an overflowing norm is reported by estimate_K, which names the trajectory
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(self(t), axis=1)
 
 
 def mean_residual_norm(net: Network, problem: OdeProblem, colloc: CollocationSet):
@@ -98,9 +100,6 @@ class SmoothDelta:
         r = self.residual_fn.norms(np.atleast_1d(t))
         out = np.sqrt(r * r + self.mu * self.mu)
         return float(out[0]) if np.ndim(t) == 0 else out
-
-
-MU_POLICIES = ("tenth_of_mean", "explicit")
 
 
 # -- growth constants -----------------------------------------------------
@@ -254,7 +253,7 @@ class Certificate:
 class CertifyConfig:
     mode: str = "auto"              # auto | nonlinear | linear
     eps: float = 0.33               # E_Int budget as a fraction of E_ML^exp
-    mu_policy: str = "tenth_of_mean"
+    mu_policy: str = "tenth_of_mean"   # tenth_of_mean | explicit
     mu: float = None                # used when mu_policy == "explicit"
     K_grid: int = 200
     safety_factor: float = DEFAULT_SAFETY_FACTOR
@@ -262,6 +261,20 @@ class CertifyConfig:
     n: int = None                   # explicit trapezoid subintervals
     colloc_count: int = 400         # sampling density for L / mean residual
     colloc_seed: int = 1
+
+    def validate(self):
+        if self.mode not in ("auto", "linear", "nonlinear"):
+            raise ConfigurationError(f"unknown certification mode {self.mode!r}")
+        if self.mu_policy not in ("tenth_of_mean", "explicit"):
+            raise ConfigurationError(f"unknown mu_policy {self.mu_policy!r}")
+        if self.mu_policy == "explicit" and (self.mu is None or not self.mu >= 0):
+            raise ConfigurationError("mu_policy = explicit needs mu >= 0")
+        if self.L is not None and not 0 <= self.L < math.inf:
+            raise ConfigurationError(f"L override must be finite and >= 0, got {self.L}")
+        if not (self.eps > 0 and self.K_grid >= 10 and self.safety_factor >= 1):
+            raise ConfigurationError("need eps > 0, K_grid >= 10 and safety_factor >= 1")
+        if self.n is not None and not (isinstance(self.n, int) and self.n >= 1):
+            raise ConfigurationError(f"n must be None or an int >= 1, got {self.n!r}")
 
 
 class Certifier:
@@ -273,12 +286,7 @@ class Certifier:
 
     def __init__(self, net: Network, problem: OdeProblem, config: CertifyConfig = None):
         config = config or CertifyConfig()
-        if config.mu_policy not in MU_POLICIES:
-            raise ConfigurationError(f"unknown mu policy {config.mu_policy!r}")
-        if config.mu_policy == "explicit" and (config.mu is None or config.mu < 0):
-            raise ConfigurationError("explicit mu policy needs mu >= 0")
-        if config.L is not None and not 0 <= config.L < math.inf:
-            raise ConfigurationError(f"L override must be finite and >= 0, got {config.L}")
+        config.validate()
         self.net, self.problem, self.config = net, problem, config
         # L / mu sampling is denser than typical training collocation to reduce
         # the risk of underestimating L

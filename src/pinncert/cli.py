@@ -14,10 +14,11 @@ import numpy as np
 
 from . import certify as cert
 from . import presets, surrogate
-from .config import ExperimentConfig, load_config, preset_config, save_config
+from .config import (ExperimentConfig, certify_config, load_config, preset_config, save_config,
+                     surrogate_run)
 from .network import load_network, save_network
 from .ode import ConfigurationError, NumericError, sample_collocation
-from .train import TrainingRun, export_loss_history
+from .train import export_loss_history
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -91,7 +92,7 @@ def cmd_certify(args):
     problem = presets.build_problem(cfg)
     starts, x0s, us, times = _trajectories(cfg, problem, args)
     net = load_network(args.network or Path(cfg.out_dir) / "network.json")
-    certifier = cert.Certifier(net, problem, presets.certify_config(cfg))
+    certifier = cert.Certifier(net, problem, certify_config(cfg))
     certs = []
     for t_start, x0, u in zip(starts, x0s, us):
         traj = certifier.trajectory(x0, u)
@@ -118,7 +119,7 @@ def cmd_surrogate(args):
     out = _out_dir(cfg)
     problem = presets.build_problem(cfg)
     net = load_network(args.network or Path(cfg.out_dir) / "network.json")
-    certifier = cert.Certifier(net, problem, presets.certify_config(cfg))
+    certifier = cert.Certifier(net, problem, certify_config(cfg))
     if args.data:
         dataset = surrogate.load_surrogate_dataset(
             args.data, problem.dim, problem.control_dim, seed=cfg.seed + 23)
@@ -126,9 +127,7 @@ def cmd_surrogate(args):
         dataset = surrogate.generate_surrogate_data(
             net, problem, cfg.surr_count, cfg.seed + 23, certifier=certifier)
         surrogate.export_surrogate_dataset(dataset, out / "surrogate_data.csv")
-    run = TrainingRun(gamma_data=1.0, gamma_phys=0.0, optimizer=cfg.surr_optimizer,
-                      epochs=cfg.surr_epochs, seed=cfg.seed + 28, lr=cfg.surr_lr)
-    err_net = surrogate.train_error_net(dataset, cfg.surr_hidden, run,
+    err_net = surrogate.train_error_net(dataset, cfg.surr_hidden, surrogate_run(cfg),
                                         under_weight=cfg.surr_under_weight)
     save_network(err_net, out / "errornet.json")
 

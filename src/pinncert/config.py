@@ -5,16 +5,14 @@ be diffed and replayed.  Two executions from the same config are
 byte-identical.
 """
 
-from __future__ import annotations
-
 import configparser
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .autodiff import ACTIVATIONS
-from .certify import MU_POLICIES
+from .certify import CertifyConfig
 from .ode import ConfigurationError
-from .train import OPTIMIZERS
+from .train import TrainingRun
 
 PRESETS = ("decay1d", "pendulum")
 
@@ -30,23 +28,23 @@ class ExperimentConfig:
     hidden: list = field(default_factory=lambda: [4, 4])
     activation: str = "tanh"
     # training
-    optimizer: str = "adam"
+    optimizer: str = TrainingRun.optimizer
     epochs: int = 5000
-    lr: float = 1e-2
-    gamma_data: float = 1.0
-    gamma_phys: float = 1.0
+    lr: float = TrainingRun.lr
+    gamma_data: float = TrainingRun.gamma_data
+    gamma_phys: float = TrainingRun.gamma_phys
     colloc_count: int = 200
     data_count: int = 1
     # certification
-    cert_mode: str = "auto"
-    eps: float = 0.33
-    mu_policy: str = "tenth_of_mean"
-    mu: float = None
-    K_grid: int = 200
-    safety_factor: float = 1.5
-    L_override: float = None
-    n_override: int = None
-    cert_colloc_count: int = 400
+    cert_mode: str = CertifyConfig.mode
+    eps: float = CertifyConfig.eps
+    mu_policy: str = CertifyConfig.mu_policy
+    mu: float = CertifyConfig.mu
+    K_grid: int = CertifyConfig.K_grid
+    safety_factor: float = CertifyConfig.safety_factor
+    L_override: float = CertifyConfig.L
+    n_override: int = CertifyConfig.n
+    cert_colloc_count: int = CertifyConfig.colloc_count
     query_points: int = 101
     # surrogate
     surr_count: int = 100
@@ -54,42 +52,17 @@ class ExperimentConfig:
     surr_under_weight: float = 1000.0
     surr_optimizer: str = "lbfgs"
     surr_epochs: int = 2000
-    surr_lr: float = 1e-2
+    surr_lr: float = TrainingRun.lr
     surr_holdout: int = 200
 
     def validate(self):
+        """Experiment-level rules, then those of the run objects the config maps to."""
         if self.preset not in PRESETS:
             raise ConfigurationError(f"unknown preset {self.preset!r}")
-        if self.epochs < 0 or self.colloc_count < 1:
-            raise ConfigurationError("epochs must be >= 0 and colloc_count >= 1")
-        if self.cert_mode not in ("auto", "linear", "nonlinear"):
-            raise ConfigurationError(f"unknown certification mode {self.cert_mode!r}")
-        for key in ("optimizer", "surr_optimizer"):
-            if getattr(self, key) not in OPTIMIZERS:
-                raise ConfigurationError(f"unknown {key} {getattr(self, key)!r}")
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if self.mu_policy not in MU_POLICIES:
-            raise ConfigurationError(f"unknown mu_policy {self.mu_policy!r}")
-        if self.mu_policy == "explicit" and (self.mu is None or not self.mu >= 0):
-            raise ConfigurationError("mu_policy = explicit needs mu >= 0")
-        if not (self.eps > 0 and self.K_grid >= 10 and self.safety_factor >= 1):
-            raise ConfigurationError("need eps > 0, K_grid >= 10 and safety_factor >= 1")
-        if self.L_override is not None and not 0 <= self.L_override < math.inf:
-            raise ConfigurationError(f"L_override must be finite and >= 0, got {self.L_override}")
-        for key in ("lr", "surr_lr"):
-            if not 0 < getattr(self, key) < math.inf:
-                raise ConfigurationError(f"{key} must be finite and > 0, got {getattr(self, key)}")
-        if self.surr_epochs < 0 or self.query_points < 1:
-            raise ConfigurationError("surr_epochs must be >= 0 and query_points >= 1")
-        for key in ("gamma_data", "gamma_phys"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ConfigurationError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
-        if self.n_override is not None and not (isinstance(self.n_override, int)
-                                                and self.n_override >= 1):
-            raise ConfigurationError(f"n_override must be empty or an int >= 1, "
-                                     f"got {self.n_override!r}")
-        for key in ("data_count", "cert_colloc_count", "surr_count", "surr_holdout"):
+        for key in ("colloc_count", "data_count", "cert_colloc_count", "query_points",
+                    "surr_count", "surr_holdout"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 1 <= self.surr_under_weight < math.inf:
@@ -102,6 +75,13 @@ class ExperimentConfig:
                     and all(isinstance(w, int) and w >= 1 for w in widths)):
                 raise ConfigurationError(f"{key} must be a non-empty list of ints >= 1, "
                                          f"got {widths!r}")
+        for section, run in (("training", build_training_run(self)),
+                             ("certify", certify_config(self)),
+                             ("surrogate", surrogate_run(self))):
+            try:
+                run.validate()
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"[{section}] {exc}") from None
 
 
 def preset_config(name, seed=None, desk_scale=True) -> ExperimentConfig:
@@ -150,14 +130,11 @@ _SECTIONS = {
                   "surr_optimizer", "surr_epochs", "surr_lr", "surr_holdout"],
 }
 
-_INT_FIELDS = {"seed", "epochs", "colloc_count", "data_count", "K_grid",
-               "n_override", "cert_colloc_count", "query_points", "surr_count",
-               "surr_epochs", "surr_holdout"}
-_FLOAT_FIELDS = {"lr", "gamma_data", "gamma_phys", "eps", "mu", "safety_factor",
-                 "L_override", "surr_under_weight", "surr_lr"}
-_LIST_FIELDS = {"hidden", "surr_hidden"}
-_BOOL_FIELDS = {"desk_scale"}
-_OPTIONAL_FIELDS = {"mu", "L_override", "n_override"}
+# a key's reader, by its field's type; only a field that defaults to None may be empty
+_PARSERS = {int: int, float: float, str: str,
+            bool: lambda raw: raw.lower() in ("1", "true", "yes"),
+            list: lambda raw: [int(x) for x in raw.split(",") if x.strip()]}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def save_config(cfg: ExperimentConfig, path):
@@ -187,19 +164,31 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigurationError(f"unknown key {key!r} in [{section}]")
             raw = raw.strip()
             if raw == "":
-                if key not in _OPTIONAL_FIELDS:
+                if _FIELDS[key].default is not None:
                     raise ConfigurationError(f"{key} in [{section}] needs a value")
                 value = None
-            elif key in _LIST_FIELDS:
-                value = [int(x) for x in raw.split(",") if x.strip()]
-            elif key in _INT_FIELDS:
-                value = int(raw)
-            elif key in _FLOAT_FIELDS:
-                value = float(raw)
-            elif key in _BOOL_FIELDS:
-                value = raw.lower() in ("1", "true", "yes")
             else:
-                value = raw
+                value = _PARSERS[_FIELDS[key].type](raw)
             setattr(cfg, key, value)
     cfg.validate()
     return cfg
+
+
+def build_training_run(cfg: ExperimentConfig) -> TrainingRun:
+    return TrainingRun(
+        gamma_data=cfg.gamma_data, gamma_phys=cfg.gamma_phys,
+        optimizer=cfg.optimizer, epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr)
+
+
+def certify_config(cfg: ExperimentConfig) -> CertifyConfig:
+    return CertifyConfig(
+        mode=cfg.cert_mode, eps=cfg.eps, mu_policy=cfg.mu_policy, mu=cfg.mu,
+        K_grid=cfg.K_grid, safety_factor=cfg.safety_factor,
+        L=cfg.L_override, n=cfg.n_override,
+        colloc_count=cfg.cert_colloc_count, colloc_seed=cfg.seed + 17)
+
+
+def surrogate_run(cfg: ExperimentConfig) -> TrainingRun:
+    """The error net's fit: the data loss alone, on its own seed."""
+    return TrainingRun(gamma_data=1.0, gamma_phys=0.0, optimizer=cfg.surr_optimizer,
+                       epochs=cfg.surr_epochs, seed=cfg.seed + 28, lr=cfg.surr_lr)

@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 
-from .certify import CertifyConfig
-from .config import ExperimentConfig
+# certify_config is not used here: it is re-exported for callers of this module
+from .config import ExperimentConfig, build_training_run, certify_config
 from .network import Network, init_network
 from .ode import (REFERENCE_STEP, ConfigurationError, OdeProblem, decay_1d,
                   inverted_pendulum, sample_collocation, solve_reference)
-from .train import DataSet, TrainingRun, anchor_dataset, merge_datasets, train
+from .train import DataSet, anchor_dataset, merge_datasets, train
 
 SCHEDULE_INTERVALS = 50
 SCHEDULE_T_TOTAL = 4.0
@@ -56,12 +56,6 @@ def build_dataset(cfg: ExperimentConfig, problem: OdeProblem, seed=None) -> Data
     return merge_datasets(data, anchors)
 
 
-def build_training_run(cfg: ExperimentConfig) -> TrainingRun:
-    return TrainingRun(
-        gamma_data=cfg.gamma_data, gamma_phys=cfg.gamma_phys,
-        optimizer=cfg.optimizer, epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr)
-
-
 def train_preset(cfg: ExperimentConfig):
     """End-to-end training for a preset; returns (net, problem, history)."""
     problem = build_problem(cfg)
@@ -71,14 +65,6 @@ def train_preset(cfg: ExperimentConfig):
     run = build_training_run(cfg)
     net, history = train(net, problem, dataset, colloc, run)
     return net, problem, history
-
-
-def certify_config(cfg: ExperimentConfig) -> CertifyConfig:
-    return CertifyConfig(
-        mode=cfg.cert_mode, eps=cfg.eps, mu_policy=cfg.mu_policy, mu=cfg.mu,
-        K_grid=cfg.K_grid, safety_factor=cfg.safety_factor,
-        L=cfg.L_override, n=cfg.n_override,
-        colloc_count=cfg.cert_colloc_count, colloc_seed=cfg.seed + 17)
 
 
 # -- pendulum control schedule --------------------------------------------

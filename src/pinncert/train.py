@@ -20,7 +20,6 @@ from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
                   sample_collocation)
 
 
-OPTIMIZERS = ("adam", "lbfgs")
 LBFGS_MEMORY = 10
 
 
@@ -52,7 +51,7 @@ class TrainingRun:
     gamma_data: float = 1.0
     gamma_phys: float = 1.0
     eta: object = None           # None = constant 1; [(t, w), ...] breakpoints; or callable
-    optimizer: str = "adam"
+    optimizer: str = "adam"      # adam | lbfgs
     epochs: int = 1000
     seed: int = 0
     lr: float = 1e-2
@@ -64,8 +63,12 @@ class TrainingRun:
                                          f"got {getattr(self, key)}")
         if self.gamma_data == 0 and self.gamma_phys == 0:
             raise ConfigurationError("at least one loss weight must be positive")
-        if self.optimizer not in OPTIMIZERS:
+        if self.optimizer not in ("adam", "lbfgs"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
+        if self.epochs < 0:
+            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
 
 
 def eta_weights(eta, t):

@@ -117,6 +117,18 @@ def test_certifier_mu_policies():
             Certifier(net, problem, bad)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"mode": "bogus"},
+    {"mode": "Linear"},             # modes are case sensitive
+    {"safety_factor": 0.5},         # K below the sampled second difference
+    {"eps": -1.0, "n": 8},          # eps is checked even when n makes it unused
+    {"n": 0},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_certifier_rejects_invalid_config(overrides):
+    with pytest.raises(ConfigurationError):
+        Certifier(linear_time_net(-4.0, 2.0), decay_1d(), CertifyConfig(**overrides))
+
+
 @pytest.mark.parametrize("L", [-5.0, -1e-300, math.nan, math.inf])
 def test_certifier_rejects_negative_or_non_finite_L(L):
     # a negative L shrinks e^{Lt} below the true growth and the bound below the error

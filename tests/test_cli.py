@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from pinncert import certify
 from pinncert.cli import main
-from pinncert.config import ExperimentConfig, load_config, preset_config, save_config
+from pinncert.config import (_SECTIONS, ExperimentConfig, load_config, preset_config,
+                             save_config)
 from pinncert.network import init_network, load_network, save_network
 from pinncert.ode import ConfigurationError
 from pinncert.presets import export_schedule, load_schedule, make_pendulum_schedule
@@ -26,10 +29,20 @@ def tiny_decay_config(tmp_path, **overrides):
     return path, cfg
 
 
-def test_config_round_trip(tmp_path):
-    path, cfg = tiny_decay_config(tmp_path, gamma_phys=0.7, hidden=[8, 3])
+@pytest.mark.parametrize("desk_scale", [True, False], ids=["desk", "full"])
+@pytest.mark.parametrize("preset", ["decay1d", "pendulum"])
+def test_config_round_trip(tmp_path, preset, desk_scale):
+    cfg = preset_config(preset, desk_scale=desk_scale)
+    cfg.gamma_phys, cfg.hidden = 0.7, [8, 3]
+    cfg.mu_policy, cfg.mu, cfg.L_override, cfg.n_override = "explicit", 0.05, 2.5, 7
+    path = tmp_path / "exp.ini"
+    save_config(cfg, path)
     loaded = load_config(path)
     assert loaded == cfg
+    assert repr(loaded) == repr(cfg)        # each value keeps its type: 7, not 7.0
+    # every field is saved in exactly one section
+    section_keys = [key for keys in _SECTIONS.values() for key in keys]
+    assert sorted(section_keys) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -327,15 +340,16 @@ def test_non_finite_schedule_entry_exits_2_naming_row_and_column(tmp_path, capsy
     assert not (tmp_path / "out" / "certificates.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_residual_exits_3_naming_the_trajectory(tmp_path, capsys):
-    # a finite but huge control overflows the residual norm; mu > 0 cannot help
+    # a finite but huge control overflows the residual norm; mu > 0 cannot help,
+    # and the exit-3 message is the only report (no numpy overflow warning)
     path, schedule = tiny_pendulum_setup(tmp_path)
     rows = load_schedule(schedule)
     rows[1] = (rows[1][0], rows[1][1], 1e300)
     export_schedule(rows, schedule)
-    with np.errstate(over="ignore"):
-        assert main(["certify", "--config", str(path), "--schedule", str(schedule),
-                     "--intervals", "2"]) == 3
+    assert main(["certify", "--config", str(path), "--schedule", str(schedule),
+                 "--intervals", "2"]) == 3
     err = capsys.readouterr().err
     assert "overflows" in err and "u=[1e+300]" in err and "x0=[0.1, 0.0, 0.0, 0.0]" in err
     assert "mu > 0" not in err

@@ -243,6 +243,10 @@ def test_run_validation():
         TrainingRun(gamma_data=0.0, gamma_phys=0.0).validate()
     with pytest.raises(ConfigurationError):
         TrainingRun(optimizer="sgd").validate()
+    # a negative lr climbs the loss, and a negative epoch count would run none
+    for bad in ({"lr": -0.01}, {"lr": float("nan")}, {"lr": float("inf")}, {"epochs": -3}):
+        with pytest.raises(ConfigurationError):
+            TrainingRun(**bad).validate()
 
 
 def test_assemble_inputs_layout_order():
