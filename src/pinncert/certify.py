@@ -21,6 +21,7 @@ from .autodiff import Dual
 from .network import Network, assemble_inputs, forward, infer_layout, time_tangent
 from .ode import (REFERENCE_STEP, CollocationSet, ConfigurationError, NumericError,
                   OdeProblem, sample_collocation, solve_reference)
+from .table import write_table
 
 
 class DomainError(ValueError):
@@ -420,16 +421,11 @@ def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
 
 def export_certificates(certs, path, actual=None):
     """CSV `t,e_init,i_hat,e_int,total[,actual_error]` + metadata sidecar."""
-    with open(path, "w") as fh:
-        header = "t,e_init,i_hat,e_int,total"
-        if actual is not None:
-            header += ",actual_error"
-        fh.write(header + "\n")
-        for i, c in enumerate(certs):
-            row = [c.t, c.e_init, c.i_hat, c.e_int, c.total]
-            if actual is not None:
-                row.append(actual[i])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    columns = ("t", "e_init", "i_hat", "e_int", "total", "actual_error")
+    rows = [(c.t, c.e_init, c.i_hat, c.e_int, c.total) for c in certs]
+    if actual is not None:
+        rows = [(*row, a) for row, a in zip(rows, actual)]
+    write_table(path, columns[:5 if actual is None else 6], rows)
     with open(str(path) + ".meta", "w") as fh:
         fh.write("[constants_used]\n")
         if certs:

@@ -18,6 +18,7 @@ from .config import (ExperimentConfig, certify_config, load_config, preset_confi
                      surrogate_run)
 from .network import load_network, save_network
 from .ode import ConfigurationError, NumericError, sample_collocation
+from .table import point_columns, read_table, write_table
 from .train import export_loss_history
 
 
@@ -141,37 +142,17 @@ def cmd_surrogate(args):
     e_cert = np.array([cert.bound(certifier.trajectory(held.x0[i], held.u[i]), held.t[i]).total
                        for i in range(count)])
     e_nn = surrogate.evaluate_error_net(err_net, held.t, held.x0, held.u)
-    path = out / "surrogate_comparison.csv"
-    n = problem.dim
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"x0_{i + 1}" for i in range(n))
-                 + (",u" if problem.control_dim else "") + ",e_certified,e_nn\n")
-        for i in range(count):
-            row = [held.t[i], *held.x0[i], *held.u[i], e_cert[i], e_nn[i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(out / "surrogate_comparison.csv",
+                [*point_columns(problem.dim, problem.control_dim), "e_certified", "e_nn"],
+                np.column_stack([held.t, held.x0, held.u, e_cert, e_nn]))
     frac = float(np.mean(e_nn >= e_cert))
     print(f"held-out overestimation fraction: {frac:.3f}")
     print(f"surrogate artifacts written to {out}")
     return 0
 
 
-def _read_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ConfigurationError(f"{path}: empty CSV")
-        cols = header.split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        raise ConfigurationError(f"{path}: no data rows")
-    return cols, data
-
-
 def cmd_compare(args):
-    cols, data = _read_csv(args.certificates)
-    idx = {c: i for i, c in enumerate(cols)}
-    if "total" not in idx or "t" not in idx:
-        raise ConfigurationError("certificates CSV must have t and total columns")
+    idx, data = read_table(args.certificates, ("t", "total"))
     totals = data[:, idx["total"]]
     print(f"certificates: {len(totals)} rows, max total {totals.max():.6g}")
     if "actual_error" in idx:
@@ -186,14 +167,8 @@ def cmd_compare(args):
             print("FAIL: certificate fell below the reference error")
             return 1
     if args.surrogate:
-        scols, sdata = _read_csv(args.surrogate)
-        sidx = {c: i for i, c in enumerate(scols)}
-        missing = [c for c in ("t", "e_certified", "e_nn") if c not in sidx]
-        if missing:
-            raise ConfigurationError(f"surrogate CSV lacks column(s) {', '.join(missing)}; "
-                                     "it must have t, e_certified and e_nn")
-        st = sdata[:, sidx["t"]]
-        ct = data[:, idx["t"]]
+        sidx, sdata = read_table(args.surrogate, ("t", "e_certified", "e_nn"))
+        st, ct = sdata[:, sidx["t"]], data[:, idx["t"]]
         if len(st) != len(ct) or not np.allclose(st, ct):
             raise ConfigurationError("certificate and surrogate query grids are misaligned")
         frac = float(np.mean(sdata[:, sidx["e_nn"]] >= sdata[:, sidx["e_certified"]]))

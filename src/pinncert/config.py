@@ -131,8 +131,8 @@ _SECTIONS = {
 }
 
 # a key's reader, by its field's type; only a field that defaults to None may be empty
-_PARSERS = {int: int, float: float, str: str,
-            bool: lambda raw: raw.lower() in ("1", "true", "yes"),
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_PARSERS = {int: int, float: float, str: str, bool: lambda raw: _BOOLS[raw.lower()],
             list: lambda raw: [int(x) for x in raw.split(",") if x.strip()]}
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
@@ -168,7 +168,10 @@ def load_config(path) -> ExperimentConfig:
                     raise ConfigurationError(f"{key} in [{section}] needs a value")
                 value = None
             else:
-                value = _PARSERS[_FIELDS[key].type](raw)
+                try:
+                    value = _PARSERS[_FIELDS[key].type](raw)
+                except (KeyError, ValueError):
+                    raise ConfigurationError(f"{key} in [{section}]: cannot read {raw!r}") from None
             setattr(cfg, key, value)
     cfg.validate()
     return cfg

@@ -15,6 +15,7 @@ from .config import ExperimentConfig, build_training_run, certify_config
 from .network import Network, init_network
 from .ode import (REFERENCE_STEP, ConfigurationError, OdeProblem, decay_1d,
                   inverted_pendulum, sample_collocation, solve_reference)
+from .table import read_table, write_table
 from .train import DataSet, anchor_dataset, merge_datasets, train
 
 SCHEDULE_INTERVALS = 50
@@ -106,22 +107,13 @@ SCHEDULE_COLUMNS = ("interval", "t_start", "phi", "phidot", "s", "sdot", "u")
 
 def export_schedule(rows, path):
     """CSV `interval,t_start,phi,phidot,s,sdot,u`."""
-    with open(path, "w") as fh:
-        fh.write(",".join(SCHEDULE_COLUMNS) + "\n")
-        for i, (t_start, x0, u) in enumerate(rows):
-            vals = [t_start, *x0, u]
-            fh.write(str(i) + "," + ",".join(f"{v:.17g}" for v in vals) + "\n")
+    write_table(path, SCHEDULE_COLUMNS,
+                ((i, t_start, *x0, u) for i, (t_start, x0, u) in enumerate(rows)))
 
 
 def load_schedule(path, expected_intervals=SCHEDULE_INTERVALS):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] != expected_intervals or data.shape[1] != len(SCHEDULE_COLUMNS):
-        raise ConfigurationError(
-            f"schedule must have {expected_intervals} rows of "
-            f"{','.join(SCHEDULE_COLUMNS)}; got shape {data.shape}")
-    bad = np.argwhere(~np.isfinite(data))
-    if len(bad):
-        row, col = bad[0]
-        raise ConfigurationError(
-            f"schedule row {row}, column {SCHEDULE_COLUMNS[col]}: {data[row, col]} is not finite")
-    return [(float(r[1]), r[2:6].copy(), float(r[6])) for r in data]
+    idx, data = read_table(path, SCHEDULE_COLUMNS)
+    if len(data) != expected_intervals:
+        raise ConfigurationError(f"{path}: {len(data)} rows, a schedule has {expected_intervals}")
+    x0 = [idx[c] for c in SCHEDULE_COLUMNS[2:6]]
+    return [(float(r[idx["t_start"]]), r[x0], float(r[idx["u"]])) for r in data]

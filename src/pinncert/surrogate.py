@@ -16,6 +16,7 @@ from .certify import Certifier, CertifyConfig, bound
 from .network import (Network, assemble_inputs, forward, infer_layout, init_network,
                       parameter_gradient)
 from .ode import ConfigurationError, NumericError, OdeProblem, sample_collocation
+from .table import point_columns, read_table, write_table
 from .train import TrainingRun, optimize
 
 
@@ -108,23 +109,13 @@ def evaluate_error_net(net: Network, t, x0, u):
 
 def export_surrogate_dataset(dataset: SurrogateDataset, path):
     """CSV `t,x0_1..x0_n[,u],e_target`."""
-    n = dataset.x0.shape[1]
-    k = dataset.u.shape[1]
-    header = "t," + ",".join(f"x0_{i + 1}" for i in range(n))
-    if k:
-        header += "," + ",".join(f"u_{j + 1}" if k > 1 else "u" for j in range(k))
-    header += ",e_target"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(len(dataset)):
-            row = [dataset.t[i], *dataset.x0[i], *dataset.u[i], dataset.targets[i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, [*point_columns(dataset.x0.shape[1], dataset.u.shape[1]), "e_target"],
+                np.column_stack([dataset.t, dataset.x0, dataset.u, dataset.targets]))
 
 
 def load_surrogate_dataset(path, dim, control_dim=0, seed=None) -> SurrogateDataset:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    t = data[:, 0]
-    x0 = data[:, 1:1 + dim]
-    u = data[:, 1 + dim:1 + dim + control_dim]
-    targets = data[:, 1 + dim + control_dim]
-    return SurrogateDataset(t=t, x0=x0, u=u, targets=targets, seed=seed)
+    point = point_columns(dim, control_dim)
+    idx, rows = read_table(path, [*point, "e_target"])
+    return SurrogateDataset(t=rows[:, idx["t"]], x0=rows[:, [idx[c] for c in point[1:1 + dim]]],
+                            u=rows[:, [idx[c] for c in point[1 + dim:]]],
+                            targets=rows[:, idx["e_target"]], seed=seed)

@@ -18,6 +18,7 @@ from .network import (MlpJet, Network, assemble_inputs, flatten_params, forward,
 # sample_collocation is not used here: it is re-exported for callers of this module
 from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
                   sample_collocation)
+from .table import write_table
 
 
 LBFGS_MEMORY = 10
@@ -303,7 +304,5 @@ def _run_lbfgs(net, run, evaluate, history):
 
 def export_loss_history(history, path):
     """CSV `epoch,loss_total,loss_data,loss_phys`."""
-    with open(path, "w") as fh:
-        fh.write("epoch,loss_total,loss_data,loss_phys\n")
-        for epoch, (total, ld, lp) in enumerate(history):
-            fh.write(f"{epoch},{total:.17g},{ld:.17g},{lp:.17g}\n")
+    write_table(path, ("epoch", "loss_total", "loss_data", "loss_phys"),
+                ((epoch, *losses) for epoch, losses in enumerate(history)))

@@ -386,3 +386,67 @@ def test_compare_surrogate_without_t_column_exits_2(tmp_path, capsys):
     surr.write_text("time,e_certified,e_nn\n0,0.3,0.4\n")
     assert main(["compare", str(certs), str(surr)]) == 2
     assert "column(s) t;" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_header_only_csv_exits_2_without_a_numpy_warning(tmp_path, capsys):
+    certs = tmp_path / "certs.csv"
+    certs.write_text("t,e_init,i_hat,e_int,total\n")
+    assert main(["compare", str(certs)]) == 2
+    assert f"{certs}: no data rows" in capsys.readouterr().err
+
+
+def _drop_column(lines, name):
+    j = lines[0].split(",").index(name)
+    return [",".join(c for k, c in enumerate(line.split(",")) if k != j) for line in lines]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edit,column", [
+    (lambda lines: _drop_column(lines, "x0_1"), "x0_1"),
+    (lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0] + ",nan", *lines[3:]], "e_target"),
+    (lambda lines: [lines[0].replace("e_target", "target"), *lines[1:]], "e_target"),
+], ids=["one-column-short", "nan-target", "no-target-header"])
+def test_malformed_surrogate_data_exits_2_naming_file_and_column(tmp_path, capsys, edit,
+                                                                 column):
+    path, cfg = tiny_decay_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    save_network(init_network([1, 4, 1], seed=0, meta={"inputs": ["t"]}),
+                 tmp_path / "out" / "network.json")
+    data = tmp_path / "surrogate_data.csv"
+    lines = ["t,x0_1,e_target", "0,2,0.5", "0.5,2,0.25", "1,2,0.125"]
+    data.write_text("\n".join(edit(lines)) + "\n")
+    assert main(["surrogate", "--config", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and column in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "errornet.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_short_schedule_row_exits_2_naming_the_row(tmp_path, capsys):
+    path, schedule = tiny_pendulum_setup(tmp_path)
+    lines = schedule.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    schedule.write_text("\n".join(lines) + "\n")
+    assert main(["certify", "--config", str(path), "--schedule", str(schedule),
+                 "--intervals", "3"]) == 2
+    assert f"{schedule}: row 1 has 6 of 7 values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw,value", [("true", True), ("YES", True), ("1", True),
+                                       ("False", False), ("no", False), ("0", False)])
+def test_config_booleans_read_each_spelling(tmp_path, raw, value):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[experiment]\ndesk_scale = {raw}\n")
+    assert load_config(path).desk_scale is value
+
+
+@pytest.mark.parametrize("raw", ["ture", "on", "2", "y"])
+def test_config_rejects_a_misspelt_boolean_naming_key_and_section(tmp_path, capsys, raw):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[experiment]\nout_dir = {tmp_path / 'out'}\ndesk_scale = {raw}\n")
+    with pytest.raises(ConfigurationError, match=r"desk_scale in \[experiment\]"):
+        load_config(path)
+    assert main(["train", "--config", str(path)]) == 2
+    assert f"desk_scale in [experiment]: cannot read {raw!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
