@@ -9,6 +9,10 @@ scalar node allocations.
 Forward mode: ``Dual`` carries (value, tangent) pairs through the same
 arithmetic.  The components of a ``Dual`` may themselves be ``Var``s; the
 tests build that form as a taped oracle for the training kernel's gradients.
+
+Both modes read one table of elementary derivatives: each of ``exp``,
+``sin``, ``cos``, ``sqrt``, ``tanh`` and ``erf`` is declared once, as its
+array function and its derivative rule.
 """
 
 from __future__ import annotations
@@ -157,36 +161,6 @@ class Var:
         n = np.size(self.value) if axis is None else np.shape(self.value)[axis]
         return self.sum(axis=axis) / float(n)
 
-    # -- elementwise transcendentals --------------------------------------
-
-    def _unary(self, out_val, d):
-        return Var(out_val, self.tape, ((self, d),))
-
-    def tanh(self):
-        y = np.tanh(self.value)
-        return self._unary(y, lambda g: g * (1.0 - y * y))
-
-    def exp(self):
-        y = np.exp(self.value)
-        return self._unary(y, lambda g: g * y)
-
-    def sin(self):
-        v = self.value
-        return self._unary(np.sin(v), lambda g: g * np.cos(v))
-
-    def cos(self):
-        v = self.value
-        return self._unary(np.cos(v), lambda g: -g * np.sin(v))
-
-    def sqrt(self):
-        y = np.sqrt(self.value)
-        return self._unary(y, lambda g: g * 0.5 / y)
-
-    def erf(self):
-        v = self.value
-        return self._unary(_scipy_erf(v),
-                           lambda g: g * (2.0 / math.sqrt(math.pi)) * np.exp(-v * v))
-
 
 def backward(scalar):
     """Reverse sweep from a recorded scalar; returns {id(Var): adjoint}."""
@@ -282,62 +256,27 @@ class Dual:
         return f"Dual({self.value!r}, {self.derivative!r})"
 
 
-# -- type-dispatching elementary functions --------------------------------
+# -- elementary functions: one derivative rule each -----------------------
 #
-# These work uniformly on floats, numpy arrays, Vars, and Duals, which lets
-# activation functions and ODE right-hand sides be written once and reused
-# by evaluation, forward mode, and reverse mode.
+# Each function works uniformly on floats, numpy arrays, Vars, and Duals,
+# which lets activation functions and ODE right-hand sides be written once
+# and reused by evaluation, forward mode, and reverse mode.  Its one rule,
+# ``slope(v, y)`` with argument v and value y, serves both modes: a Var
+# records the pull ``g * slope``, a Dual carries the tangent
+# ``slope * derivative``.
 
-def exp(x):
-    if isinstance(x, Var):
-        return x.exp()
-    if isinstance(x, Dual):
-        y = exp(x.value)
-        return Dual(y, y * x.derivative)
-    return np.exp(x)
-
-
-def sin(x):
-    if isinstance(x, Var):
-        return x.sin()
-    if isinstance(x, Dual):
-        return Dual(sin(x.value), cos(x.value) * x.derivative)
-    return np.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Var):
-        return x.cos()
-    if isinstance(x, Dual):
-        return Dual(cos(x.value), -sin(x.value) * x.derivative)
-    return np.cos(x)
-
-
-def sqrt(x):
-    if isinstance(x, Var):
-        return x.sqrt()
-    if isinstance(x, Dual):
-        y = sqrt(x.value)
-        return Dual(y, x.derivative / (2.0 * y))
-    return np.sqrt(x)
-
-
-def tanh(x):
-    if isinstance(x, Var):
-        return x.tanh()
-    if isinstance(x, Dual):
-        y = tanh(x.value)
-        return Dual(y, (1.0 - y * y) * x.derivative)
-    return np.tanh(x)
-
-
-def erf(x):
-    if isinstance(x, Var):
-        return x.erf()
-    if isinstance(x, Dual):
-        return Dual(erf(x.value),
-                    (2.0 / math.sqrt(math.pi)) * exp(-x.value * x.value) * x.derivative)
-    return _scipy_erf(x)
+def _elementary(f, slope):
+    """The dispatching form of array function ``f`` with derivative ``slope``."""
+    def apply(x):
+        if isinstance(x, Var):
+            v = x.value
+            y = f(v)
+            return Var(y, x.tape, ((x, lambda g: g * slope(v, y)),))
+        if isinstance(x, Dual):
+            y = apply(x.value)
+            return Dual(y, slope(x.value, y) * x.derivative)
+        return f(x)
+    return apply
 
 
 def _scipy_erf(x):
@@ -347,10 +286,16 @@ def _scipy_erf(x):
     return scipy_erf(x)
 
 
+exp = _elementary(np.exp, lambda v, y: y)
+sin = _elementary(np.sin, lambda v, y: cos(v))
+cos = _elementary(np.cos, lambda v, y: -sin(v))
+sqrt = _elementary(np.sqrt, lambda v, y: 0.5 / y)
+tanh = _elementary(np.tanh, lambda v, y: 1.0 - y * y)
+erf = _elementary(_scipy_erf, lambda v, y: (2.0 / math.sqrt(math.pi)) * exp(-v * v))
+
+
 def sigmoid(x):
-    if isinstance(x, (Var, Dual)):
-        return 1.0 / (1.0 + exp(-x))
-    return 1.0 / (1.0 + np.exp(-x))
+    return 1.0 / (1.0 + exp(-x))
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -37,6 +37,10 @@ class Network:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         dims = self.layer_dims
+        if not len(self.weights) == len(self.biases) == len(dims) - 1:
+            raise ShapeError(
+                f"{len(self.weights)} weight and {len(self.biases)} bias arrays "
+                f"for the {len(dims) - 1} layers of dims {dims}")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
                 raise ShapeError(
@@ -345,15 +349,27 @@ def save_network(net: Network, path):
 
 
 def load_network(path) -> Network:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported network schema {doc.get('schema_version')!r}")
-    return Network(
-        layer_dims=list(doc["layer_dims"]),
-        weights=[np.array(w, dtype=float) for w in doc["weights"]],
-        biases=[np.array(b, dtype=float) for b in doc["biases"]],
-        activation=doc["activation"],
-        seed=doc.get("seed"),
-        meta=doc.get("meta", {}),
-    )
+    """Read a saved network; a malformed file raises ConfigurationError naming it."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported network schema {doc.get('schema_version')!r}")
+        weights = [np.array(w, dtype=float) for w in doc["weights"]]
+        biases = [np.array(b, dtype=float) for b in doc["biases"]]
+        if not all(np.isfinite(a).all() for a in weights + biases):
+            raise ValueError("a weight or bias is missing or non-finite")
+        return Network(
+            layer_dims=list(doc["layer_dims"]),
+            weights=weights,
+            biases=biases,
+            activation=doc["activation"],
+            seed=doc.get("seed"),
+            meta=doc.get("meta", {}),
+        )
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from scipy.special import erf as scipy_erf
 
 from pinncert.autodiff import (ACTIVATIONS, Dual, Tape, UsageError, backward,
-                               erf, exp, sigmoid, sin, sqrt, tanh)
+                               cos, erf, exp, sigmoid, sin, sqrt, tanh)
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 nonzero = finite.filter(lambda x: abs(x) > 1e-3)
@@ -82,7 +82,7 @@ def test_tape_matmul_and_reductions_match_finite_differences():
 
     tape = Tape()
     wv = tape.var(w)
-    loss = ((a @ wv.T).tanh().sum()) ** 2
+    loss = (tanh(a @ wv.T).sum()) ** 2
     grads = backward(loss)
     g = grads[id(wv)]
     h = 1e-6
@@ -121,6 +121,28 @@ def test_erf_equals_scipy_bit_for_bit():
     x = np.linspace(-4, 4, 33)
     np.testing.assert_array_equal(erf(x), scipy_erf(x))
     np.testing.assert_array_equal(erf(Tape().var(x)).value, scipy_erf(x))
+
+
+@pytest.mark.parametrize("f,reference", [
+    (exp, np.exp), (sin, np.sin), (cos, np.cos), (sqrt, np.sqrt), (tanh, np.tanh),
+    (erf, scipy_erf),
+], ids=["exp", "sin", "cos", "sqrt", "tanh", "erf"])
+def test_elementary_rule_in_both_modes(f, reference):
+    x = np.linspace(0.1, 4.1, 9) if f is sqrt else np.linspace(-1.9, 2.1, 9)
+    np.testing.assert_array_equal(f(x), reference(x))
+    h = 1e-5
+    central = (reference(x + h) - reference(x - h)) / (2 * h)
+    tape = Tape()
+    xv = tape.var(x)
+    pull = backward(f(xv).sum())[id(xv)]
+    tangent = f(Dual(x, np.ones_like(x))).derivative
+    np.testing.assert_allclose(pull, central, rtol=1e-7)
+    np.testing.assert_allclose(tangent, central, rtol=1e-7)
+    np.testing.assert_allclose(pull, tangent, rtol=1e-14, atol=0)
+    # a Dual of Vars, the tests' taped oracle, computes the same pair
+    nested = f(Dual(tape.var(x), tape.var(np.ones_like(x))))
+    np.testing.assert_array_equal(nested.value.value, reference(x))
+    np.testing.assert_array_equal(nested.derivative.value, tangent)
 
 
 def test_importing_the_cli_does_not_load_scipy():

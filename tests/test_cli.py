@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -337,6 +338,24 @@ def test_non_finite_schedule_entry_exits_2_naming_row_and_column(tmp_path, capsy
     assert main(["certify", "--config", str(path), "--schedule", str(schedule),
                  "--intervals", "3"]) == 2
     assert f"row 2, column {column}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "biases"}, "no 'biases' entry"),
+    (lambda doc: dict(doc, weights=[[[None]]] + doc["weights"][1:]), "missing or non-finite"),
+    (lambda doc: dict(doc, weights=doc["weights"][:-1], biases=doc["biases"][:-1]),
+     "for the 2 layers"),
+    (lambda doc: [1, 2], "not a JSON object"),
+], ids=["no-biases", "null-weight", "last-layer-dropped", "not-an-object"])
+def test_malformed_network_file_exits_2_naming_the_file(tmp_path, capsys, edit, message):
+    path, schedule = tiny_pendulum_setup(tmp_path)
+    net_path = tmp_path / "out" / "network.json"
+    net_path.write_text(json.dumps(edit(json.loads(net_path.read_text()))))
+    assert main(["certify", "--config", str(path), "--schedule", str(schedule),
+                 "--intervals", "2"]) == 2
+    err = capsys.readouterr().err
+    assert str(net_path) in err and message in err
     assert not (tmp_path / "out" / "certificates.csv").exists()
 
 

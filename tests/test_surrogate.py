@@ -144,6 +144,9 @@ def test_train_error_net_validation():
         train_error_net(empty, [4], TrainingRun(epochs=1), 1.0)
     with pytest.raises(ConfigurationError):
         train_error_net(_toy_dataset(), [4], TrainingRun(epochs=1), 0.5)
+    # no epochs means no loss evaluation, so asymmetric_loss's own check never runs
+    with pytest.raises(ConfigurationError):
+        train_error_net(_toy_dataset(), [4], TrainingRun(epochs=0), 0.5)
 
 
 def test_dataset_export_round_trip(tmp_path):
