@@ -11,8 +11,8 @@ arithmetic.  The components of a ``Dual`` may themselves be ``Var``s; the
 tests build that form as a taped oracle for the training kernel's gradients.
 
 Both modes read one table of elementary derivatives: each of ``exp``,
-``sin``, ``cos``, ``sqrt``, ``tanh`` and ``erf`` is declared once, as its
-array function and its derivative rule.
+``sin``, ``cos``, ``tanh`` and ``erf`` is declared once, as its array
+function and its derivative rule.
 """
 
 from __future__ import annotations
@@ -289,7 +289,6 @@ def _scipy_erf(x):
 exp = _elementary(np.exp, lambda v, y: y)
 sin = _elementary(np.sin, lambda v, y: cos(v))
 cos = _elementary(np.cos, lambda v, y: -sin(v))
-sqrt = _elementary(np.sqrt, lambda v, y: 0.5 / y)
 tanh = _elementary(np.tanh, lambda v, y: 1.0 - y * y)
 erf = _elementary(_scipy_erf, lambda v, y: (2.0 / math.sqrt(math.pi)) * exp(-v * v))
 

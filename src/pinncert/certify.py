@@ -88,19 +88,38 @@ def mean_residual_norm(net: Network, problem: OdeProblem, colloc: CollocationSet
 
 @dataclass
 class SmoothDelta:
-    """delta(t) = sqrt(||R(t)||^2 + mu^2): smooth majorant of the residual norm."""
+    """delta(t) = sqrt(||R(t)||^2 + mu^2): smooth majorant of the residual norm.
+
+    :meth:`store` evaluates delta on several time grids in one residual pass;
+    a later call on an identical grid returns the stored values, read-only.
+    """
 
     residual_fn: ResidualFn
     mu: float
+    stored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mu < 0:
             raise ConfigurationError("mu must be non-negative")
 
     def __call__(self, t):
+        if np.ndim(t) == 1 and self.stored:
+            hit = self.stored.get(np.asarray(t, dtype=float).tobytes())
+            if hit is not None:
+                return hit
         r = self.residual_fn.norms(np.atleast_1d(t))
         out = np.sqrt(r * r + self.mu * self.mu)
         return float(out[0]) if np.ndim(t) == 0 else out
+
+    def store(self, grids):
+        """delta on each new 1-D grid, from one residual pass over all of them."""
+        grids = [g for g in grids if g.tobytes() not in self.stored]
+        if not grids:
+            return
+        values = self(np.concatenate(grids))
+        values.setflags(write=False)
+        for g, v in zip(grids, np.split(values, np.cumsum([len(g) for g in grids[:-1]]))):
+            self.stored[g.tobytes()] = v
 
 
 # -- growth constants -----------------------------------------------------
@@ -210,14 +229,25 @@ def trapezoid_bound_integral(delta, L, t, n, K):
         return 0.0, 0.0
     s = np.linspace(0.0, t, n + 1)
     vals = np.exp(-L * s) * np.atleast_1d(delta(s))
-    i_hat = (t / (2.0 * n)) * math.exp(L * t) * float(vals[1:].sum() + vals[:-1].sum())
-    e_int = max(1.0, math.exp(L * t)) * K * t ** 3 / (12.0 * n * n)
+    growth = _growth(L, t)
+    i_hat = (t / (2.0 * n)) * growth * float(vals[1:].sum() + vals[:-1].sum())
+    e_int = max(1.0, growth) * K * t ** 3 / (12.0 * n * n)
     return i_hat, e_int
+
+
+def _growth(rate, t):
+    """e^{rate t}; an overflow is a numeric failure naming the rate and t."""
+    try:
+        return math.exp(rate * t)
+    except OverflowError:
+        raise NumericError(f"growth factor e^(rate*t) overflows at rate {rate}, "
+                           f"t = {t}") from None
 
 
 def expected_ml_error(t, init_error, L, mean_residual):
     """A priori estimate e^{Lt}||e(0)|| + (e^{Lt} - 1) rbar / L."""
-    return math.exp(L * t) * init_error + (math.exp(L * t) - 1.0) * mean_residual / L
+    growth = _growth(L, t)
+    return growth * init_error + (growth - 1.0) * mean_residual / L
 
 
 def subinterval_count(t, init_error, L, K, mean_residual, eps):
@@ -233,7 +263,10 @@ def subinterval_count(t, init_error, L, K, mean_residual, eps):
         raise ConfigurationError(
             "expected ML error is zero with K > 0: required subintervals are "
             "unbounded; use mu > 0 or another eps policy")
-    return max(1, math.ceil(math.sqrt(math.exp(L * t) * K * t ** 3 / (12.0 * e_exp * eps))))
+    need = math.sqrt(_growth(L, t) * K * t ** 3 / (12.0 * e_exp * eps))
+    if not math.isfinite(need):
+        raise NumericError(f"trapezoid subinterval count is not finite at rate {L}, t = {t}")
+    return max(1, math.ceil(need))
 
 
 # -- certificates ---------------------------------------------------------
@@ -316,8 +349,13 @@ class Certifier:
         L = config.L if config.L is not None else estimate_lipschitz(problem, colloc)
         return L, 1.0, {"mode": "nonlinear", "L": L, **fallback}
 
-    def trajectory(self, x0, u) -> TrajectoryConstants:
-        """The per-(x0, u) constants: the smooth majorant delta, ||e(0)|| and K."""
+    def trajectory(self, x0, u, times=()) -> TrajectoryConstants:
+        """The per-(x0, u) constants: the smooth majorant delta, ||e(0)|| and K.
+
+        Given query ``times``, delta is also evaluated on the trapezoid nodes
+        of each time inside (0, t_final], in one residual pass, so that
+        :func:`bound` at those times reads them instead of calling the network.
+        """
         x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
         key = (x0.tobytes(), u.tobytes())
         if key not in self._trajectories:
@@ -331,7 +369,10 @@ class Certifier:
                 raise ResidualOverflowError(
                     f"{exc}, on the trajectory x0={x0.tolist()}, u={u.tolist()}") from exc
             self._trajectories[key] = TrajectoryConstants(self, delta, init_error, K)
-        return self._trajectories[key]
+        traj = self._trajectories[key]
+        traj.delta.store([np.linspace(0.0, t, traj.subintervals(t) + 1)
+                          for t in times if 0.0 < t <= self.problem.t_final])
+        return traj
 
 
 @dataclass
@@ -343,23 +384,34 @@ class TrajectoryConstants:
     init_error: float
     K: float
 
+    def subintervals(self, t):
+        """Trapezoid subintervals at time t: the configured n, else the eps rule."""
+        c, config = self.certifier, self.certifier.config
+        if config.n is not None:
+            return config.n
+        return subinterval_count(t, self.init_error, max(c.rate, 1e-6), self.K,
+                                 c.mean_residual, config.eps)
+
 
 def bound(traj: TrajectoryConstants, t) -> Certificate:
     """E_init + I_hat + E_Int at time t; only n and the trapezoid depend on t."""
     c, config = traj.certifier, traj.certifier.config
     if not (0.0 <= t <= c.problem.t_final):
         raise DomainError(f"t={t} outside the time horizon [0, {c.problem.t_final}]")
-    n = config.n if config.n is not None else subinterval_count(
-        t, traj.init_error, max(c.rate, 1e-6), traj.K, c.mean_residual, config.eps)
-    e_init = c.beta * math.exp(c.rate * t) * traj.init_error
+    n = traj.subintervals(t)
+    e_init = c.beta * _growth(c.rate, t) * traj.init_error
     i_hat, e_int = trapezoid_bound_integral(traj.delta, c.rate, t, n, traj.K)
     i_hat, e_int = c.beta * i_hat, c.beta * e_int
+    total = e_init + i_hat + e_int
+    if not math.isfinite(total):
+        raise NumericError(f"certificate at t = {t} is not finite (rate {c.rate}): "
+                           f"E_init {e_init}, I_hat {i_hat}, E_Int {e_int}")
     constants = {"eps": config.eps, "mu_policy": config.mu_policy,
                  "K_grid": config.K_grid, "safety_factor": config.safety_factor,
                  **c.growth, "K": traj.K, "n_subintervals": n, "mu": c.mu,
                  "mean_residual": c.mean_residual}
     return Certificate(t=float(t), e_init=e_init, i_hat=i_hat, e_int=e_int,
-                       total=e_init + i_hat + e_int, constants_used=constants)
+                       total=total, constants_used=constants)
 
 
 def bound_nonlinear(net: Network, problem: OdeProblem, x0, u, t,

@@ -96,7 +96,7 @@ def cmd_certify(args):
     certifier = cert.Certifier(net, problem, certify_config(cfg))
     certs = []
     for t_start, x0, u in zip(starts, x0s, us):
-        traj = certifier.trajectory(x0, u)
+        traj = certifier.trajectory(x0, u, times)
         for t in times:
             c = cert.bound(traj, t)
             if t_start is not None:
@@ -139,8 +139,7 @@ def cmd_surrogate(args):
     held = sample_collocation(problem, count, cfg.seed + 31)
     if on_grid:
         held.t = np.linspace(0.0, problem.t_final, count)
-    e_cert = np.array([cert.bound(certifier.trajectory(held.x0[i], held.u[i]), held.t[i]).total
-                       for i in range(count)])
+    e_cert = surrogate.certified_totals(certifier, held.t, held.x0, held.u, "held-out point")
     e_nn = surrogate.evaluate_error_net(err_net, held.t, held.x0, held.u)
     write_table(out / "surrogate_comparison.csv",
                 [*point_columns(problem.dim, problem.control_dim), "e_certified", "e_nn"],

@@ -42,19 +42,31 @@ def generate_surrogate_data(net: Network, problem: OdeProblem, count, seed,
     if certifier is None:
         certifier = Certifier(net, problem, config)
     colloc = sample_collocation(problem, count, seed)
-    targets = np.empty(count)
-    for i in range(count):
+    targets = certified_totals(certifier, colloc.t, colloc.x0, colloc.u, "generated point")
+    return SurrogateDataset(t=colloc.t, x0=colloc.x0, u=colloc.u,
+                            targets=targets, seed=seed)
+
+
+def certified_totals(certifier: Certifier, t, x0, u, what):
+    """Certified totals at the points (t[i], x0[i], u[i]), with one trajectory
+    pass per distinct (x0, u) over all of its times.  A failure names the
+    point as ``what`` and its index, and keeps its exit-code class."""
+    groups = {}
+    for i in range(len(t)):
+        groups.setdefault((x0[i].tobytes(), u[i].tobytes()), []).append(i)
+    totals = np.empty(len(t))
+    for rows in groups.values():
+        i = rows[0]         # a failed trajectory pass is named by its first point
         try:
-            targets[i] = bound(certifier.trajectory(colloc.x0[i], colloc.u[i]),
-                               colloc.t[i]).total
+            traj = certifier.trajectory(x0[i], u[i], t[rows])
+            for i in rows:
+                totals[i] = bound(traj, t[i]).total
         except (ValueError, NumericError) as exc:
             # keep the exit-code class: numeric failures stay numeric, the rest is input
             kind = NumericError if isinstance(exc, NumericError) else ConfigurationError
-            raise kind(
-                f"certificate failed at generated point {i} "
-                f"(t={colloc.t[i]}, x0={colloc.x0[i]}, u={colloc.u[i]}): {exc}") from exc
-    return SurrogateDataset(t=colloc.t, x0=colloc.x0, u=colloc.u,
-                            targets=targets, seed=seed)
+            raise kind(f"certificate failed at {what} {i} "
+                       f"(t={t[i]}, x0={x0[i]}, u={u[i]}): {exc}") from exc
+    return totals
 
 
 def asymmetric_loss(pred, target, under_weight):

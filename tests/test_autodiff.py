@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from scipy.special import erf as scipy_erf
 
 from pinncert.autodiff import (ACTIVATIONS, Dual, Tape, UsageError, backward,
-                               cos, erf, exp, sigmoid, sin, sqrt, tanh)
+                               cos, erf, exp, sigmoid, sin, tanh)
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 nonzero = finite.filter(lambda x: abs(x) > 1e-3)
@@ -112,7 +112,6 @@ def test_dispatch_functions_agree_with_numpy_on_arrays():
     x = np.linspace(-2, 2, 7)
     np.testing.assert_allclose(exp(x), np.exp(x))
     np.testing.assert_allclose(tanh(x), np.tanh(x))
-    np.testing.assert_allclose(sqrt(np.abs(x) + 1), np.sqrt(np.abs(x) + 1))
     np.testing.assert_allclose(sigmoid(x), 1 / (1 + np.exp(-x)))
     assert erf(0.0) == 0.0
 
@@ -124,11 +123,10 @@ def test_erf_equals_scipy_bit_for_bit():
 
 
 @pytest.mark.parametrize("f,reference", [
-    (exp, np.exp), (sin, np.sin), (cos, np.cos), (sqrt, np.sqrt), (tanh, np.tanh),
-    (erf, scipy_erf),
-], ids=["exp", "sin", "cos", "sqrt", "tanh", "erf"])
+    (exp, np.exp), (sin, np.sin), (cos, np.cos), (tanh, np.tanh), (erf, scipy_erf),
+], ids=["exp", "sin", "cos", "tanh", "erf"])
 def test_elementary_rule_in_both_modes(f, reference):
-    x = np.linspace(0.1, 4.1, 9) if f is sqrt else np.linspace(-1.9, 2.1, 9)
+    x = np.linspace(-1.9, 2.1, 9)
     np.testing.assert_array_equal(f(x), reference(x))
     h = 1e-5
     central = (reference(x + h) - reference(x - h)) / (2 * h)

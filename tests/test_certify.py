@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from pinncert.certify import (Certificate, Certifier, CertifyConfig,
 from pinncert import certify, presets
 from pinncert.autodiff import Dual
 from pinncert.cli import main
-from pinncert.network import Network, init_network, save_network
+from pinncert.config import certify_config, preset_config
+from pinncert.network import Network, init_network, load_network, save_network
 from pinncert.ode import (Box, ConfigurationError, OdeProblem, decay_1d,
                           inverted_pendulum, solve_reference)
 from pinncert.train import CollocationSet, TrainingRun, anchor_dataset, sample_collocation, train
@@ -535,6 +537,76 @@ def test_certificate_components_sum_and_sign(quick_decay_net):
     cert = bound_nonlinear(quick_decay_net, decay_1d(), [2.0], (), 1.3, CertifyConfig())
     assert cert.total == cert.e_init + cert.i_hat + cert.e_int
     assert cert.e_init >= 0 and cert.i_hat >= 0 and cert.e_int >= 0
+
+
+# -- the per-trajectory residual pass -------------------------------------
+
+PINNED_NET = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "pendulum_desk_net.json"
+
+
+def _decay_case(net):
+    problem = decay_1d()
+    certifier = Certifier(net, problem, CertifyConfig(colloc_count=50))
+    return certifier, [([2.0], (), np.linspace(0.0, problem.t_final, 21))]
+
+
+def _pinned_pendulum_case():
+    problem = inverted_pendulum()
+    certifier = Certifier(load_network(PINNED_NET), problem,
+                          certify_config(preset_config("pendulum")))
+    local = np.linspace(0.0, presets.SCHEDULE_T_TOTAL / presets.SCHEDULE_INTERVALS, 20)
+    return certifier, [(x0, [u], local) for _, x0, u in presets.make_pendulum_schedule()[:2]]
+
+
+def _count_residual_calls(monkeypatch):
+    calls = []
+    real = certify.residual_batch_columns
+    monkeypatch.setattr(certify, "residual_batch_columns",
+                        lambda *args, **kwargs: calls.append(kwargs["t"]) or real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["decay1d", "pendulum"])
+def test_trajectory_times_give_the_certificates_of_per_time_calls(case, quick_decay_net):
+    certifier, trajectories = (_decay_case(quick_decay_net) if case == "decay1d"
+                               else _pinned_pendulum_case())
+    for x0, u, times in trajectories:
+        traj = certifier.trajectory(x0, u)
+        direct = [bound(traj, t) for t in times]
+        assert certifier.trajectory(x0, u, times) is traj
+        for a, b in zip(direct, (bound(traj, t) for t in times)):
+            assert a.constants_used == b.constants_used
+            for name in ("t", "e_init", "i_hat", "e_int", "total"):
+                np.testing.assert_allclose(getattr(b, name), getattr(a, name), rtol=1e-13, atol=0)
+
+
+def test_trajectory_times_make_one_residual_pass(quick_decay_net, monkeypatch):
+    certifier, [(x0, u, times)] = _decay_case(quick_decay_net)
+    traj = certifier.trajectory(x0, u)
+    calls = _count_residual_calls(monkeypatch)
+    certifier.trajectory(x0, u, times)
+    nodes = sum(traj.subintervals(t) + 1 for t in times if t > 0)
+    assert [len(t) for t in calls] == [nodes]
+    calls.clear()
+    certs = [bound(traj, t) for t in times]
+    certifier.trajectory(x0, u, times)          # stored grids are not evaluated again
+    assert calls == []
+    grid = np.linspace(0.0, times[-1], certs[-1].constants_used["n_subintervals"] + 1)
+    assert not traj.delta(grid).flags.writeable
+
+
+def test_trajectory_times_leave_other_calls_unchanged(quick_decay_net, monkeypatch):
+    certifier, [(x0, u, times)] = _decay_case(quick_decay_net)
+    plain = Certifier(quick_decay_net, decay_1d(), certifier.config).trajectory(x0, u)
+    outside = (-0.1, 2.5, math.nan)
+    traj = certifier.trajectory(x0, u, [*times[:5], *outside])
+    calls = _count_residual_calls(monkeypatch)
+    for t in (0.0, 0.77, times[10]):            # t = 0 and two times that were not passed
+        assert bound(traj, t) == bound(plain, t)
+    assert len(calls) == 4      # one per bound at the two times not passed, on each trajectory
+    for t in outside:
+        with pytest.raises(DomainError):
+            bound(traj, t)
 
 
 # -- reference comparison -------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +296,22 @@ def test_numeric_failure_in_surrogate_data_exits_3(tmp_path, capsys, monkeypatch
     assert main(["surrogate", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and "generated point 0" in err
+
+
+@pytest.mark.parametrize("n_override", [None, 4], ids=["eps-rule", "fixed-n"])
+def test_overflowing_growth_factor_exits_3(tmp_path, capsys, n_override):
+    # e^(rate t) overflows past t = 0.071 at rate 1e4: from the subinterval rule,
+    # or, with n fixed, from E_init; no certificate row is written
+    cfg = preset_config("pendulum")
+    cfg.L_override, cfg.n_override, cfg.out_dir = 1e4, n_override, str(tmp_path / "out")
+    save_config(cfg, tmp_path / "exp.ini")
+    export_schedule(make_pendulum_schedule(), tmp_path / "schedule.csv")
+    net = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "pendulum_desk_net.json"
+    assert main(["certify", "--config", str(tmp_path / "exp.ini"), "--network", str(net),
+                 "--schedule", str(tmp_path / "schedule.csv"), "--intervals", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "rate 10000.0" in err and "t = 0.0715" in err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
 
 
 def test_divergent_training_exits_3(tmp_path):
