@@ -445,15 +445,21 @@ def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
     distinct query time, each gap split into equal steps no longer than h.
     At the default h = 2e-3 the pendulum reference is within 1e-14 of a
     20-digit solution over the training horizon.  The times may be unsorted
-    or repeated.
+    or repeated, and lie past ``problem.t_final``, but must be finite and >= 0.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ConfigurationError(f"reference step h must be finite and > 0, got {h}")
     t_grid = np.asarray(t_grid, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(t_grid) & (t_grid >= 0.0)))
+    if bad.size:
+        raise ConfigurationError(f"query time {t_grid.flat[bad[0]]} (index {bad[0]}) "
+                                 "must be finite and >= 0")
     x0 = np.asarray(x0, dtype=float)
     if problem.exact_solution is not None:
-        columns = x0.T          # a batch passes one column per component, as to the rhs
-        ref = np.array([problem.exact_solution(t, columns) for t in t_grid]).swapaxes(1, -1)
+        # one call over all times; a batch passes one column per component, as
+        # to the rhs, and the times as (T, 1) so they broadcast against them
+        times = t_grid if x0.ndim == 1 else t_grid[:, None]
+        ref = np.moveaxis(np.asarray(problem.exact_solution(times, x0.T)), 0, -1)
     else:
         knots, at = np.unique(np.append(t_grid, 0.0), return_inverse=True)
         steps = np.ceil(np.diff(knots) / h).astype(int)

@@ -79,7 +79,10 @@ class OdeProblem:
     jacobian_x: callable = None   # analytic (t, x, u) -> (dim, dim[, B]) or constant (dim, dim)
     linear_part: np.ndarray = None
     control_dim: int = 0
-    exact_solution: callable = None   # (t, x0) -> state, when known; x0 as in rhs
+    # (t, x0) -> the dim components of the state, when known; x0 as in rhs.  One
+    # call serves every time: t (T,) with x0 (dim,) gives components of shape
+    # (T,), and t (T, 1) with batch columns x0 (dim, B) gives (T, B)
+    exact_solution: callable = None
 
     def rhs_array(self, t, x, u=()):
         return np.array(self.rhs(t, x, u), dtype=float)
@@ -195,10 +198,10 @@ def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
 
     One trajectory: x0 (d,), u (m,), t_grid (T,); states are (T, d).  A batch
     of B trajectories: x0 (B, d), u (B, m), and t_grid either shared (T,) or
-    per row (T, B); states are (T, B, d).  The loop steps ``x = x0.T``, so a
-    single trajectory keeps scalar components and a batch passes the rhs one
-    column per component.  A non-finite state raises :class:`BlowUpError`
-    with the earliest grid time at which a row blew up.
+    per row (T, B); states are (T, B, d).  A single trajectory passes the rhs
+    its d components as numpy scalars; a batch passes one (d, B) block, one
+    column per row.  A non-finite state raises :class:`BlowUpError` with the
+    earliest grid time at which a row blew up.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -214,24 +217,34 @@ def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
                                  f"got shape {t_grid.shape} for x0 {x0.shape}")
     if np.any(t_grid[0] != 0.0) or np.any(np.diff(t_grid, axis=0) <= 0):
         raise ConfigurationError("t_grid must start at 0 and increase strictly")
-    f = problem.rhs_array
-    x, u = x0.T, u.T
+    # the stages act on a list of blocks: one trajectory's d components as numpy
+    # scalars (numpy arithmetic: a pole gives inf, not ZeroDivisionError), or a batch's (d, B)
+    if x0.ndim == 1:
+        xs, rhs = list(x0), problem.rhs
+    else:
+        xs, rhs = [x0.T], (lambda t, blocks, u: [problem.rhs_array(t, blocks[0], u)])
+    u = u.T
     states = np.empty((len(t_grid), *x0.shape))
     states[0] = x0
     # a blow-up is reported as BlowUpError, not as numpy warnings on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, (t0, t1) in enumerate(zip(t_grid[:-1], t_grid[1:]), 1):
             h = t1 - t0
-            k1 = f(t0, x, u)
-            k2 = f(t0 + h / 3, x + h * (k1 / 3), u)
-            k3 = f(t0 + 2 * h / 3, x + h * (2 / 3 * k2), u)
-            k4 = f(t0 + h / 3, x + h * (k1 / 12 + k2 / 3 - k3 / 12), u)
-            k5 = f(t0 + h / 2, x + h * (-k1 / 16 + 9 / 8 * k2 - 3 / 16 * k3 - 3 / 8 * k4), u)
-            k6 = f(t0 + h / 2, x + h * (9 / 8 * k2 - 3 / 8 * k3 - 3 / 4 * k4 + k5 / 2), u)
-            k7 = f(t1, x + h * (9 / 44 * k1 - 9 / 11 * k2 + 63 / 44 * k3 + 18 / 11 * k4
-                                - 16 / 11 * k6), u)
-            x = x + h * (11 / 120 * (k1 + k7) + 27 / 40 * (k3 + k4) - 4 / 15 * (k5 + k6))
-            if not np.isfinite(x).all():
-                raise BlowUpError(_first_nonfinite_time(x, t1))
-            states[i] = x.T
+            k1 = rhs(t0, xs, u)
+            k2 = rhs(t0 + h / 3, [x + h * (a / 3) for x, a in zip(xs, k1)], u)
+            k3 = rhs(t0 + 2 * h / 3, [x + h * (2 / 3 * b) for x, b in zip(xs, k2)], u)
+            k4 = rhs(t0 + h / 3, [x + h * (a / 12 + b / 3 - c / 12)
+                                  for x, a, b, c in zip(xs, k1, k2, k3)], u)
+            k5 = rhs(t0 + h / 2, [x + h * (-a / 16 + 9 / 8 * b - 3 / 16 * c - 3 / 8 * d)
+                                  for x, a, b, c, d in zip(xs, k1, k2, k3, k4)], u)
+            k6 = rhs(t0 + h / 2, [x + h * (9 / 8 * b - 3 / 8 * c - 3 / 4 * d + e / 2)
+                                  for x, b, c, d, e in zip(xs, k2, k3, k4, k5)], u)
+            k7 = rhs(t1, [x + h * (9 / 44 * a - 9 / 11 * b + 63 / 44 * c + 18 / 11 * d
+                                   - 16 / 11 * f)
+                          for x, a, b, c, d, f in zip(xs, k1, k2, k3, k4, k6)], u)
+            xs = [x + h * (11 / 120 * (a + g) + 27 / 40 * (c + d) - 4 / 15 * (e + f))
+                  for x, a, c, d, e, f, g in zip(xs, k1, k3, k4, k5, k6, k7)]
+            states[i] = xs if x0.ndim == 1 else xs[0].T
+            if not np.isfinite(states[i]).all():
+                raise BlowUpError(_first_nonfinite_time(states[i].T, t1))
     return Trajectory(times=t_grid, states=states)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -627,6 +628,36 @@ def test_actual_error_rk4_path_agrees_with_closed_form(quick_decay_net):
     a = actual_error(quick_decay_net, problem, [2.0], (), t)
     b = actual_error(quick_decay_net, stripped, [2.0], (), t)
     np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+@pytest.mark.parametrize("x0", [[2.0], [[2.0], [1.0], [-0.5]]], ids=["single", "batch"])
+def test_actual_error_closed_form_is_one_call(quick_decay_net, x0):
+    problem, t, x0 = decay_1d(), np.linspace(0.0, 2.0, 101), np.asarray(x0)
+    exact, calls = problem.exact_solution, []
+    problem.exact_solution = lambda t, x0: calls.append(t) or exact(t, x0)
+    err = actual_error(quick_decay_net, problem, x0, (), t)
+    assert len(calls) == 1
+    # oracle: the closed form called once per query time
+    ref = np.array([exact(ti, x0.T) for ti in t]).swapaxes(1, -1)
+    if x0.ndim == 1:
+        pred = predict_states(quick_decay_net, problem, x0, (), t)
+    else:
+        pred = np.stack([predict_states(quick_decay_net, problem, x, (), t) for x in x0], axis=1)
+    np.testing.assert_array_equal(err, np.linalg.norm(ref - pred, axis=-1).T)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_actual_error_rejects_bad_query_time(quick_decay_net, bad):
+    t = [0.0, 0.05, bad, 0.08]
+    cases = [(quick_decay_net, decay_1d(), [2.0], ()),
+             (_pendulum_net(), inverted_pendulum(), np.zeros(4), [0.0])]
+    for net, problem, x0, u in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"query time .* \(index 2\)"):
+                actual_error(net, problem, x0, u, t)
+    # a time past the horizon is still answered
+    assert np.isfinite(actual_error(quick_decay_net, decay_1d(), [2.0], (), [2.5])).all()
 
 
 def _pendulum_net():

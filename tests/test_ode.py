@@ -7,7 +7,8 @@ import pytest
 
 from pinncert.certify import rhs_jacobian
 from pinncert.config import preset_config
-from pinncert.presets import build_dataset
+from pinncert.presets import (SCHEDULE_INTERVALS, SCHEDULE_T_TOTAL, build_dataset,
+                              make_pendulum_schedule)
 from pinncert.ode import (GRAVITY, PENDULUM_A, PENDULUM_D, PENDULUM_J, PENDULUM_M,
                           REFERENCE_STEP, BlowUpError, Box, ConfigurationError,
                           OdeProblem, Trajectory, decay_1d, inverted_pendulum,
@@ -157,15 +158,23 @@ def test_blow_up_reports_time():
 
 @pytest.mark.parametrize("x0", [[100.0], [[20.0], [100.0]]], ids=["single", "batch"])
 def test_blow_up_raises_no_numpy_warning(x0):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BlowUpError):
-            solve_reference(_quad_problem(), x0, (), np.linspace(0, 10, 101))
+    # x' = x^2 overflows; x' = 1/(x - 2) from x0 = 2 divides by zero (a Python
+    # float would raise ZeroDivisionError there instead)
+    for problem, start in ((_quad_problem(), x0), (_pole_problem(), np.full(np.shape(x0), 2.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError):
+                solve_reference(problem, start, (), np.linspace(0, 10, 101))
 
 
 def _quad_problem():
     return OdeProblem(name="quad", dim=1, rhs=lambda t, x, u: [x[0] * x[0]],
                       t_final=10.0, box=Box(t=(0, 10), x0=[(0, 100)]))
+
+
+def _pole_problem():
+    return OdeProblem(name="pole", dim=1, rhs=lambda t, x, u: [1.0 / (x[0] - 2.0)],
+                      t_final=10.0, box=Box(t=(0, 10), x0=[(0, 4)]))
 
 
 def test_batch_blow_up_reports_first_row_time():
@@ -201,6 +210,16 @@ def test_batched_reference_equals_serial_calls():
     for i in range(5):
         serial = solve_reference(p, x0[i], u[i], np.linspace(0.0, ends[i], 101)).states
         np.testing.assert_array_equal(batch[:, i], serial)
+
+
+def test_schedule_rows_equal_batched_solves():
+    # the schedule steps one trajectory as scalars; each row must equal a
+    # (1, 4) batch solve of the previous row over its interval
+    p, rows = inverted_pendulum(), make_pendulum_schedule()
+    dt = SCHEDULE_T_TOTAL / SCHEDULE_INTERVALS
+    grid = np.linspace(0.0, dt, int(round(dt / REFERENCE_STEP)) + 1)
+    for (_, x0, u), (_, x1, _) in zip(rows[:-1], rows[1:]):
+        np.testing.assert_array_equal(x1, solve_reference(p, x0[None], [[u]], grid).states[-1, 0])
 
 
 def test_dataset_targets_equal_serial_oracle():
