@@ -1,10 +1,11 @@
 """A posteriori error certificates for trained ODE networks.
 
 Everything here is computable from the trained network and the ODE alone:
-the residual, a smooth majorant delta, estimated growth constants (L via
-Jacobian singular values, or the spectral abscissa for linear systems), a
-curvature bound K for the quadrature remainder, and the resulting certified
-upper bound split into E_init + I_hat + E_Int.
+the residual, a smooth majorant delta, one growth rate (an override, the
+logarithmic norm of a linear system's matrix, or a Lipschitz constant L
+sampled from Jacobian singular values), a curvature bound K for the
+quadrature remainder, and the resulting certified upper bound split into
+E_init + I_hat + E_Int.
 
 Reference solutions appear only in :func:`actual_error`, which exists for
 validation plots and is never consulted by the bound itself.
@@ -13,7 +14,7 @@ validation plots and is never consulted by the bound itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -175,7 +176,6 @@ def spectral_abscissa(a):
 
 
 DEFAULT_SAFETY_FACTOR = 1.5
-COND_LIMIT = 1e12       # eigenvector conditioning limit for beta on the linear route
 
 
 def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FACTOR):
@@ -218,7 +218,7 @@ def trapezoid_bound_integral(delta, L, t, n, K):
     """Composite trapezoid value of I(t, delta) and its certified remainder.
 
     I(t, delta) = int_0^t e^{L(t-s)} delta(s) ds, where the growth rate L is
-    a Lipschitz constant or, for linear systems, a spectral abscissa that
+    a Lipschitz constant or, for linear systems, a logarithmic norm that
     may be negative.  Returns (i_hat, e_int) with |i_hat - I(t, delta)| <=
     e_int whenever K truly bounds the damped integrand's second derivative.
     The remainder prefactor max(1, e^{Lt}) equals e^{Lt} for L >= 0.
@@ -285,24 +285,18 @@ class Certificate:
 
 @dataclass
 class CertifyConfig:
-    mode: str = "auto"              # auto | nonlinear | linear
     eps: float = 0.33               # E_Int budget as a fraction of E_ML^exp
-    mu_policy: str = "tenth_of_mean"   # tenth_of_mean | explicit
-    mu: float = None                # used when mu_policy == "explicit"
+    mu: float = None                # None: a tenth of the mean residual
     K_grid: int = 200
     safety_factor: float = DEFAULT_SAFETY_FACTOR
-    L: float = None                 # explicit override; skips estimation
+    L: float = None                 # growth rate override; None: log-norm or sampled L
     n: int = None                   # explicit trapezoid subintervals
     colloc_count: int = 400         # sampling density for L / mean residual
     colloc_seed: int = 1
 
     def validate(self):
-        if self.mode not in ("auto", "linear", "nonlinear"):
-            raise ConfigurationError(f"unknown certification mode {self.mode!r}")
-        if self.mu_policy not in ("tenth_of_mean", "explicit"):
-            raise ConfigurationError(f"unknown mu_policy {self.mu_policy!r}")
-        if self.mu_policy == "explicit" and (self.mu is None or not self.mu >= 0):
-            raise ConfigurationError("mu_policy = explicit needs mu >= 0")
+        if self.mu is not None and not 0 <= self.mu < math.inf:
+            raise ConfigurationError(f"mu must be None or finite and >= 0, got {self.mu}")
         if self.L is not None and not 0 <= self.L < math.inf:
             raise ConfigurationError(f"L override must be finite and >= 0, got {self.L}")
         if not (self.eps > 0 and self.K_grid >= 10 and self.safety_factor >= 1):
@@ -313,9 +307,15 @@ class CertifyConfig:
 
 class Certifier:
     """The per-network constants of the certificate, computed once: the
-    growth pair (rate, beta), the mean residual over the certification
-    collocation and mu.  :meth:`trajectory` adds the per-(x0, u) constants,
-    once per distinct (x0, u), and :func:`bound` the per-time quadrature.
+    growth rate, the mean residual over the certification collocation and
+    mu.  :meth:`trajectory` adds the per-(x0, u) constants, once per
+    distinct (x0, u), and :func:`bound` the per-time quadrature.
+
+    The rate is ``config.L`` if set (source ``override``), else the
+    logarithmic norm mu_2(A) = lambda_max((A + A^T) / 2) of the problem's
+    ``linear_part`` A (source ``linear_part``), which bounds ||e^{At}||_2 by
+    e^{mu_2 t} for every A, else the sampled :func:`estimate_lipschitz`
+    (source ``sampled``).
     """
 
     def __init__(self, net: Network, problem: OdeProblem, config: CertifyConfig = None):
@@ -325,29 +325,16 @@ class Certifier:
         # L / mu sampling is denser than typical training collocation to reduce
         # the risk of underestimating L
         colloc = sample_collocation(problem, config.colloc_count, config.colloc_seed)
-        self.rate, self.beta, self.growth = self._growth_pair(colloc)
-        self.mean_residual = mean_residual_norm(net, problem, colloc)
-        self.mu = (float(config.mu) if config.mu_policy == "explicit"
-                   else 0.1 * self.mean_residual)
-        self._trajectories = {}
-
-    def _growth_pair(self, colloc):
-        """(rate, beta) and their ``constants_used`` entries."""
-        problem, config = self.problem, self.config
-        fallback = {}
-        if config.mode == "linear" or (config.mode == "auto" and problem.linear_part is not None):
-            if problem.linear_part is None:
-                raise ConfigurationError("linear mode needs problem.linear_part")
+        if config.L is not None:
+            self.rate, self.rate_source = float(config.L), "override"
+        elif problem.linear_part is not None:
             a = np.asarray(problem.linear_part, dtype=float)
-            cond = np.linalg.cond(np.linalg.eig(a)[1])
-            if np.isfinite(cond) and cond <= COND_LIMIT:
-                alpha = spectral_abscissa(a)
-                # normal A admits beta = 1; otherwise the eigenvector conditioning pays
-                beta = 1.0 if np.allclose(a @ a.T, a.T @ a, atol=1e-12) else float(cond)
-                return alpha, beta, {"mode": "linear", "alpha": alpha, "beta": beta}
-            fallback = {"linear_fallback": "eigenvector matrix ill-conditioned"}
-        L = config.L if config.L is not None else estimate_lipschitz(problem, colloc)
-        return L, 1.0, {"mode": "nonlinear", "L": L, **fallback}
+            self.rate, self.rate_source = spectral_abscissa(0.5 * (a + a.T)), "linear_part"
+        else:
+            self.rate, self.rate_source = estimate_lipschitz(problem, colloc), "sampled"
+        self.mean_residual = mean_residual_norm(net, problem, colloc)
+        self.mu = 0.1 * self.mean_residual if config.mu is None else float(config.mu)
+        self._trajectories = {}
 
     def trajectory(self, x0, u, times=()) -> TrajectoryConstants:
         """The per-(x0, u) constants: the smooth majorant delta, ||e(0)|| and K.
@@ -399,33 +386,27 @@ def bound(traj: TrajectoryConstants, t) -> Certificate:
     if not (0.0 <= t <= c.problem.t_final):
         raise DomainError(f"t={t} outside the time horizon [0, {c.problem.t_final}]")
     n = traj.subintervals(t)
-    e_init = c.beta * _growth(c.rate, t) * traj.init_error
+    e_init = _growth(c.rate, t) * traj.init_error
     i_hat, e_int = trapezoid_bound_integral(traj.delta, c.rate, t, n, traj.K)
-    i_hat, e_int = c.beta * i_hat, c.beta * e_int
     total = e_init + i_hat + e_int
     if not math.isfinite(total):
         raise NumericError(f"certificate at t = {t} is not finite (rate {c.rate}): "
                            f"E_init {e_init}, I_hat {i_hat}, E_Int {e_int}")
-    constants = {"eps": config.eps, "mu_policy": config.mu_policy,
-                 "K_grid": config.K_grid, "safety_factor": config.safety_factor,
-                 **c.growth, "K": traj.K, "n_subintervals": n, "mu": c.mu,
-                 "mean_residual": c.mean_residual}
+    constants = {"eps": config.eps, "K_grid": config.K_grid,
+                 "safety_factor": config.safety_factor, "rate": c.rate,
+                 "rate_source": c.rate_source, "K": traj.K, "n_subintervals": n,
+                 "mu": c.mu, "mean_residual": c.mean_residual}
     return Certificate(t=float(t), e_init=e_init, i_hat=i_hat, e_int=e_int,
                        total=total, constants_used=constants)
 
 
 def bound_nonlinear(net: Network, problem: OdeProblem, x0, u, t,
                     config: CertifyConfig = None) -> Certificate:
-    """Certified bound e^{Lt}||e(0)|| + I_hat + E_Int (Lipschitz route)."""
-    config = replace(config or CertifyConfig(), mode="nonlinear")
+    """Certified bound e^{rate t}||e(0)|| + I_hat + E_Int at one (x0, u, t)."""
     return bound(Certifier(net, problem, config).trajectory(x0, u), t)
 
 
-def bound_linear(net: Network, problem: OdeProblem, x0, u, t,
-                 config: CertifyConfig = None) -> Certificate:
-    """Sharper bound for linear systems using the spectral abscissa."""
-    config = replace(config or CertifyConfig(), mode="linear")
-    return bound(Certifier(net, problem, config).trajectory(x0, u), t)
+bound_linear = bound_nonlinear
 
 
 def predict_states(net: Network, problem: OdeProblem, x0, u, t_grid):

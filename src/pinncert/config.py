@@ -36,9 +36,7 @@ class ExperimentConfig:
     colloc_count: int = 200
     data_count: int = 1
     # certification
-    cert_mode: str = CertifyConfig.mode
     eps: float = CertifyConfig.eps
-    mu_policy: str = CertifyConfig.mu_policy
     mu: float = CertifyConfig.mu
     K_grid: int = CertifyConfig.K_grid
     safety_factor: float = CertifyConfig.safety_factor
@@ -103,7 +101,7 @@ def preset_config(name, seed=None, desk_scale=True) -> ExperimentConfig:
             hidden=[32, 32, 32, 32], activation="tanh",
             optimizer="lbfgs", epochs=100000, lr=3e-3,
             colloc_count=10000, data_count=50,
-            cert_mode="nonlinear", cert_colloc_count=20000,
+            cert_colloc_count=20000,
             surr_count=25000, surr_hidden=[32] * 8, surr_under_weight=1.0,
             surr_epochs=100000,
         )
@@ -124,8 +122,8 @@ _SECTIONS = {
     "network": ["hidden", "activation"],
     "training": ["optimizer", "epochs", "lr", "gamma_data", "gamma_phys",
                  "colloc_count", "data_count"],
-    "certify": ["cert_mode", "eps", "mu_policy", "mu", "K_grid", "safety_factor",
-                "L_override", "n_override", "cert_colloc_count", "query_points"],
+    "certify": ["eps", "mu", "K_grid", "safety_factor", "L_override", "n_override",
+                "cert_colloc_count", "query_points"],
     "surrogate": ["surr_count", "surr_hidden", "surr_under_weight",
                   "surr_optimizer", "surr_epochs", "surr_lr", "surr_holdout"],
 }
@@ -185,8 +183,7 @@ def build_training_run(cfg: ExperimentConfig) -> TrainingRun:
 
 def certify_config(cfg: ExperimentConfig) -> CertifyConfig:
     return CertifyConfig(
-        mode=cfg.cert_mode, eps=cfg.eps, mu_policy=cfg.mu_policy, mu=cfg.mu,
-        K_grid=cfg.K_grid, safety_factor=cfg.safety_factor,
+        eps=cfg.eps, mu=cfg.mu, K_grid=cfg.K_grid, safety_factor=cfg.safety_factor,
         L=cfg.L_override, n=cfg.n_override,
         colloc_count=cfg.cert_colloc_count, colloc_seed=cfg.seed + 17)
 

@@ -77,7 +77,7 @@ class OdeProblem:
     t_final: float
     box: Box
     jacobian_x: callable = None   # analytic (t, x, u) -> (dim, dim[, B]) or constant (dim, dim)
-    linear_part: np.ndarray = None
+    linear_part: np.ndarray = None    # constant df/dx; the rate is its log-norm
     control_dim: int = 0
     # (t, x0) -> the dim components of the state, when known; x0 as in rhs.  One
     # call serves every time: t (T,) with x0 (dim,) gives components of shape

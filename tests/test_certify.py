@@ -1,9 +1,11 @@
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pinncert.certify import (Certificate, Certifier, CertifyConfig,
                               DegenerateSmoothingError, DomainError, ResidualFn,
@@ -60,7 +62,7 @@ def test_residual_symbolic_hand_case():
 
 def test_certifier_bound_outside_horizon_rejected():
     net = linear_time_net(-4.0, 2.0)
-    cfg = CertifyConfig(mu_policy="explicit", mu=0.1, colloc_count=20)
+    cfg = CertifyConfig(mu=0.1, colloc_count=20)
     traj = Certifier(net, decay_1d(), cfg).trajectory([2.0], ())
     with pytest.raises(DomainError):
         bound(traj, 2.5)
@@ -110,19 +112,16 @@ def test_certifier_mu_policies():
     tenth = Certifier(net, problem, CertifyConfig(colloc_count=30, colloc_seed=4))
     assert tenth.mean_residual == pytest.approx(np.mean(8.0 * colloc.t), rel=1e-12)
     assert tenth.mu == 0.1 * tenth.mean_residual
-    explicit = Certifier(net, problem, CertifyConfig(mu_policy="explicit", mu=0.5,
-                                                     colloc_count=30, colloc_seed=4))
-    assert explicit.mu == 0.5 and explicit.mean_residual == tenth.mean_residual
-    for bad in (CertifyConfig(mu_policy="explicit", mu=-1.0),
-                CertifyConfig(mu_policy="explicit"),
-                CertifyConfig(mu_policy="median")):
-        with pytest.raises(ConfigurationError):
-            Certifier(net, problem, bad)
+    for mu in (0.5, 0.0):
+        # a set mu is used as given, whatever the mean residual
+        fixed = Certifier(net, problem, CertifyConfig(mu=mu, colloc_count=30, colloc_seed=4))
+        assert fixed.mu == mu and fixed.mean_residual == tenth.mean_residual
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="mu must be"):
+            Certifier(net, problem, CertifyConfig(mu=bad))
 
 
 @pytest.mark.parametrize("overrides", [
-    {"mode": "bogus"},
-    {"mode": "Linear"},             # modes are case sensitive
     {"safety_factor": 0.5},         # K below the sampled second difference
     {"eps": -1.0, "n": 8},          # eps is checked even when n makes it unused
     {"n": 0},
@@ -136,7 +135,7 @@ def test_certifier_rejects_invalid_config(overrides):
 def test_certifier_rejects_negative_or_non_finite_L(L):
     # a negative L shrinks e^{Lt} below the true growth and the bound below the error
     with pytest.raises(ConfigurationError, match="L override"):
-        Certifier(linear_time_net(-4.0, 2.0), decay_1d(), CertifyConfig(mode="nonlinear", L=L))
+        Certifier(linear_time_net(-4.0, 2.0), decay_1d(), CertifyConfig(L=L))
 
 
 def test_delta_dominates_residual_norm(quick_decay_net):
@@ -388,7 +387,7 @@ def test_subintervals_validation():
 def test_nonlinear_bound_zero_when_exact():
     problem = constant_problem()
     net = linear_time_net(0.0, 0.5)   # exact: x' = 0, x(0) = 0.5
-    cfg = CertifyConfig(mu_policy="explicit", mu=0.0, L=2.0, colloc_count=20)
+    cfg = CertifyConfig(mu=0.0, L=2.0, colloc_count=20)
     cert = bound_nonlinear(net, problem, [0.5], (), 1.0, cfg)
     assert cert.total == pytest.approx(0.0, abs=1e-12)
 
@@ -397,7 +396,7 @@ def test_nonlinear_bound_initial_error_closed_form():
     # only the initial error contributes: total = 0.1 e^2
     problem = constant_problem()
     net = linear_time_net(0.0, 0.5)
-    cfg = CertifyConfig(mu_policy="explicit", mu=0.0, L=2.0, colloc_count=20)
+    cfg = CertifyConfig(mu=0.0, L=2.0, colloc_count=20)
     cert = bound_nonlinear(net, problem, [0.6], (), 1.0, cfg)
     assert cert.e_init == pytest.approx(0.1 * math.e ** 2, rel=1e-9)
     assert cert.total == pytest.approx(0.1 * math.e ** 2, rel=1e-9)
@@ -409,19 +408,19 @@ def test_bound_rejects_time_outside_horizon():
     net = linear_time_net(0.0, 0.5)
     with pytest.raises(DomainError):
         bound_nonlinear(net, problem, [0.5], (), 1.5,
-                        CertifyConfig(mu_policy="explicit", mu=0.0, L=1.0))
+                        CertifyConfig(mu=0.0, L=1.0))
 
 
 def test_linear_bound_identity_semigroup():
     # A = 0, delta = 0: total = ||e(0)|| at every t
     problem = constant_problem(linear=True)
     net = linear_time_net(0.0, 0.5)
-    cfg = CertifyConfig(mu_policy="explicit", mu=0.0, colloc_count=20)
+    cfg = CertifyConfig(mu=0.0, colloc_count=20)
     for t in (0.0, 0.5, 1.0):
         cert = bound_linear(net, problem, [0.8], (), t, cfg)
         assert cert.total == pytest.approx(0.3, rel=1e-12)
-        assert cert.constants_used["alpha"] == 0.0
-        assert cert.constants_used["beta"] == 1.0
+        assert cert.constants_used["rate"] == 0.0
+        assert cert.constants_used["rate_source"] == "linear_part"
 
 
 def test_linear_bound_decay_closed_form():
@@ -430,7 +429,7 @@ def test_linear_bound_decay_closed_form():
     problem = decay_1d()
     net = linear_time_net(0.0, 0.0)
     c = 0.3
-    cfg = CertifyConfig(mu_policy="explicit", mu=c, colloc_count=20, n=64)
+    cfg = CertifyConfig(mu=c, colloc_count=20, n=64)
     for t in (0.5, 1.0, 2.0):
         cert = bound_linear(net, problem, [2.0], (), t, cfg)
         closed = math.exp(-2.0 * t) * 2.0 + c * (1.0 - math.exp(-2.0 * t)) / 2.0
@@ -442,35 +441,73 @@ def test_linear_bound_decay_closed_form():
 
 def test_linear_bound_uses_spectral_abscissa_on_decay(quick_decay_net):
     cert = bound_linear(quick_decay_net, decay_1d(), [2.0], (), 1.0, CertifyConfig())
-    assert cert.constants_used["alpha"] == -2.0
-    assert cert.constants_used["beta"] == 1.0
+    # the log-norm of a 1x1 matrix is its entry, the spectral abscissa
+    assert cert.constants_used["rate"] == -2.0
+    assert cert.constants_used["rate_source"] == "linear_part"
 
 
 def test_linear_not_above_nonlinear_on_decay(quick_decay_net):
+    # the log-norm rate -2 against the Lipschitz rate 2 given as an override
     problem = decay_1d()
-    cfg = CertifyConfig()
     for t in np.linspace(0.1, 2.0, 9):
-        lin = bound_linear(quick_decay_net, problem, [2.0], (), t, cfg)
-        non = bound_nonlinear(quick_decay_net, problem, [2.0], (), t, cfg)
+        lin = bound_linear(quick_decay_net, problem, [2.0], (), t, CertifyConfig())
+        non = bound_nonlinear(quick_decay_net, problem, [2.0], (), t, CertifyConfig(L=2.0))
+        assert lin.constants_used["rate"] == -2.0 and non.constants_used["rate"] == 2.0
         assert lin.total <= non.total + 1e-12
 
 
-def test_linear_fallback_for_defective_matrix():
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])   # Jordan block, defective
-    p = OdeProblem(name="jordan", dim=2,
-                   rhs=lambda t, x, u: [x[0] + x[1], x[1]],
-                   t_final=1.0, box=Box(t=(0, 1), x0=[(-1, 1), (-1, 1)]),
-                   jacobian_x=lambda t, x, u: a, linear_part=a)
+def linear_problem(a, t_final=1.0):
+    """x' = A x on [0, t_final] for a constant (n, n) matrix A."""
+    n = len(a)
+    return OdeProblem(name="linear", dim=n,
+                      rhs=lambda t, x, u: [sum(a[i, j] * x[j] for j in range(n))
+                                           for i in range(n)],
+                      t_final=t_final, box=Box(t=(0, t_final), x0=[(-1, 1)] * n),
+                      jacobian_x=lambda t, x, u: a, linear_part=a)
+
+
+def test_jordan_block_certifies_with_its_log_norm():
+    # defective: no eigenvector basis, yet mu_2(A) = 1 + 1/2 bounds ||e^{At}||
+    a = np.array([[1.0, 1.0], [0.0, 1.0]])
     net = Network([1, 2], [np.zeros((2, 1))], [np.zeros(2)], meta={"inputs": ["t"]})
-    cert = bound_linear(net, p, [0.1, 0.1], (), 0.5,
-                        CertifyConfig(mu_policy="explicit", mu=0.1, colloc_count=20))
-    assert "linear_fallback" in cert.constants_used
-    assert cert.constants_used["mode"] == "nonlinear"
+    cert = bound_linear(net, linear_problem(a), [0.1, 0.1], (), 0.5,
+                        CertifyConfig(mu=0.1, colloc_count=20))
+    assert cert.constants_used["rate"] == pytest.approx(1.5, rel=1e-12)
+    assert cert.constants_used["rate_source"] == "linear_part"
+    assert math.isfinite(cert.total) and cert.total >= 0.0
+
+
+@pytest.mark.parametrize("a", [[[1.0, 1.0], [0.0, 1.0]], [[-1.0, 10.0], [0.0, -2.0]]],
+                         ids=["jordan", "non_normal"])
+def test_log_norm_bound_holds_on_non_normal_matrices(a):
+    # e^{mu_2 t} >= ||e^{At}||_2 for any A, so the bound holds without beta
+    a = np.array(a)
+    problem = linear_problem(a)
+    net = init_network([1, 4, 2], seed=5, meta={"inputs": ["t"]})
+    certifier = Certifier(net, problem, CertifyConfig(colloc_count=50))
+    x0, times = np.array([0.6, -0.4]), np.linspace(0.0, 1.0, 10)
+    traj = certifier.trajectory(x0, (), times)
+    totals = np.array([bound(traj, t).total for t in times])
+    actual = actual_error(net, problem, x0, (), times)
+    assert certifier.rate_source == "linear_part"
+    assert np.count_nonzero(totals < actual - 1e-12) == 0
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(0.01, 2.0), t=st.floats(0.0, 2.0))
+def test_log_norm_rate_bounds_the_matrix_exponential(n, seed, scale, t):
+    # ||e^{At}||_2 <= e^{mu_2(A) t} for every A, normal or not (Dahlquist 1958)
+    from scipy.linalg import expm
+    a = scale * np.random.default_rng(seed).normal(size=(n, n))
+    net = Network([1, n], [np.zeros((n, 1))], [np.zeros(n)], meta={"inputs": ["t"]})
+    rate = Certifier(net, linear_problem(a, t_final=2.0),
+                     CertifyConfig(mu=0.0, colloc_count=10)).rate
+    assert np.linalg.norm(expm(a * t), 2) <= math.exp(rate * t) * (1.0 + 1e-12)
 
 
 def test_linear_and_lipschitz_routes_agree_on_scaled_identity():
-    # A = alpha I with alpha > 0: the spectral abscissa is alpha, beta = 1,
-    # so both routes run the same bound with growth rate alpha
+    # A = alpha I with alpha > 0: the log-norm is alpha, so the linear part
+    # and an override of alpha run the same bound with growth rate alpha
     alpha = 0.5
     a = alpha * np.eye(2)
     p = OdeProblem(name="growth", dim=2,
@@ -482,37 +519,42 @@ def test_linear_and_lipschitz_routes_agree_on_scaled_identity():
         lin = bound_linear(net, p, [0.2, -0.1], (), t, CertifyConfig(colloc_count=50))
         non = bound_nonlinear(net, p, [0.2, -0.1], (), t,
                               CertifyConfig(colloc_count=50, L=alpha))
-        assert lin.constants_used["alpha"] == alpha and lin.constants_used["beta"] == 1.0
+        assert lin.constants_used["rate"] == alpha
+        assert lin.constants_used["rate_source"] == "linear_part"
         assert (lin.e_init, lin.i_hat, lin.e_int, lin.total) == \
             (non.e_init, non.i_hat, non.e_int, non.total)
 
 
-@pytest.mark.parametrize("mode", ["auto", "linear", "nonlinear"])
-def test_unknown_mu_policy_rejected(quick_decay_net, mode):
-    with pytest.raises(ConfigurationError):
-        Certifier(quick_decay_net, decay_1d(),
-                  CertifyConfig(mode=mode, mu_policy="bogus", colloc_count=20))
-
-
-@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
-def test_zero_expected_error_with_curvature_raises(mode):
+@pytest.mark.parametrize("L", [None, 2.0], ids=lambda L: f"L={L}")
+def test_zero_expected_error_with_curvature_raises(L):
     # the zero net solves x' = -2x from x0 = 0 exactly, so the mean residual
     # and the initial error vanish, while mu > 0 gives the damped majorant
-    # curvature: no finite n meets the E_Int budget
-    cfg = CertifyConfig(mode=mode, mu_policy="explicit", mu=0.3, L=2.0, colloc_count=20)
+    # curvature: no finite n meets the E_Int budget, at either rate source
+    cfg = CertifyConfig(mu=0.3, L=L, colloc_count=20)
     traj = Certifier(linear_time_net(0.0, 0.0), decay_1d(), cfg).trajectory([0.0], ())
     with pytest.raises(ConfigurationError, match="expected ML error is zero"):
         bound(traj, 1.0)
 
 
 def test_bound_dispatch(quick_decay_net):
-    problem = decay_1d()
-    auto = Certifier(quick_decay_net, problem, CertifyConfig(mode="auto"))
-    assert auto.growth == {"mode": "linear", "alpha": -2.0, "beta": 1.0}
-    assert bound(auto.trajectory([2.0], ()), 1.0).constants_used["mode"] == "linear"
-    non = Certifier(quick_decay_net, problem, CertifyConfig(mode="nonlinear"))
-    assert non.rate == pytest.approx(2.0, abs=1e-12) and non.beta == 1.0
-    assert bound(non.trajectory([2.0], ()), 1.0).constants_used["mode"] == "nonlinear"
+    # the rate's precedence: an override, else the linear part, else sampled
+    cases = [(decay_1d(), CertifyConfig(L=5.0), 5.0, "override"),
+             (decay_1d(), CertifyConfig(), -2.0, "linear_part"),
+             (replace(decay_1d(), linear_part=None), CertifyConfig(), 2.0, "sampled")]
+    for problem, cfg, rate, source in cases:
+        certifier = Certifier(quick_decay_net, problem, cfg)
+        assert certifier.rate == pytest.approx(rate, abs=1e-12)
+        assert certifier.rate_source == source
+        used = bound(certifier.trajectory([2.0], ()), 1.0).constants_used
+        assert (used["rate"], used["rate_source"]) == (certifier.rate, source)
+
+
+def test_set_override_is_honoured_on_a_linear_problem(quick_decay_net):
+    certifier = Certifier(quick_decay_net, decay_1d(), CertifyConfig(L=5.0))
+    assert (certifier.rate, certifier.rate_source) == (5.0, "override")
+    traj = certifier.trajectory([2.0], ())
+    for t in (0.0, 0.5, 1.0):
+        assert bound(traj, t).e_init == math.exp(5.0 * t) * traj.init_error
 
 
 def test_certifier_reproduces_bound_linear_on_decay(quick_decay_net):
@@ -527,7 +569,7 @@ def test_certifier_reproduces_bound_linear_on_decay(quick_decay_net):
 def test_certifier_reproduces_bound_nonlinear_on_pendulum():
     problem = inverted_pendulum()
     net = init_network([6, 8, 4], seed=2, meta={"inputs": ["t", "x0", "u"]})
-    cfg = CertifyConfig(mode="nonlinear", colloc_count=50, K_grid=40)
+    cfg = CertifyConfig(colloc_count=50, K_grid=40)
     x0, u = np.array([0.1, -0.2, 0.05, 0.3]), np.array([2.0])
     traj = Certifier(net, problem, cfg).trajectory(x0, u)
     for t in np.linspace(0.0, problem.t_final, 4):

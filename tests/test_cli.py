@@ -36,7 +36,7 @@ def tiny_decay_config(tmp_path, **overrides):
 def test_config_round_trip(tmp_path, preset, desk_scale):
     cfg = preset_config(preset, desk_scale=desk_scale)
     cfg.gamma_phys, cfg.hidden = 0.7, [8, 3]
-    cfg.mu_policy, cfg.mu, cfg.L_override, cfg.n_override = "explicit", 0.05, 2.5, 7
+    cfg.mu, cfg.L_override, cfg.n_override = 0.05, 2.5, 7
     path = tmp_path / "exp.ini"
     save_config(cfg, path)
     loaded = load_config(path)
@@ -213,14 +213,14 @@ def test_full_scale_with_config_exits_2(tmp_path, capsys):
 
 def test_invalid_config_value_exits_2(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[certify]\ncert_mode = quadratic\n")
+    path.write_text("[certify]\nmu = nan\n")
     assert main(["train", "--config", str(path)]) == 2
 
 
 @pytest.mark.parametrize("overrides", [
-    {"mu_policy": "bogus"},
-    {"mu_policy": "explicit"},
-    {"mu_policy": "explicit", "mu": -0.1},
+    {"mu": -0.1},
+    {"mu": float("nan")},
+    {"mu": float("inf")},
     {"optimizer": "sgd"},
     {"surr_optimizer": "sgd"},
     {"activation": "relu"},
@@ -274,13 +274,26 @@ def test_loss_weights_and_later_stage_counts_exit_2_at_load(tmp_path, overrides)
     assert not (tmp_path / "out").exists()      # rejected before any work
 
 
-def test_surrogate_with_explicit_mu_missing_exits_2(tmp_path, capsys):
+def test_negative_mu_exits_2_in_certify_and_surrogate(tmp_path, capsys):
     path = tmp_path / "exp.ini"
     path.write_text(f"[experiment]\nout_dir = {tmp_path / 'out'}\n"
-                    "[certify]\nmu_policy = explicit\n")
+                    "[certify]\nmu = -1\n")
     assert main(["certify", "--config", str(path)]) == 2
     assert main(["surrogate", "--config", str(path)]) == 2
-    assert "explicit needs mu >= 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("[certify] mu must be") == 2
+
+
+def test_L_override_is_honoured_on_decay1d(tmp_path):
+    # decay1d has a linear part, whose log-norm -2 is the rate unless L is set
+    path, cfg = tiny_decay_config(tmp_path)
+    path.write_text(path.read_text().replace("L_override = \n", "L_override = 2\n"))
+    (tmp_path / "out").mkdir()
+    save_network(init_network([1, 4, 1], seed=0, meta={"inputs": ["t"]}),
+                 tmp_path / "out" / "network.json")
+    assert main(["certify", "--config", str(path)]) == 0
+    meta = (tmp_path / "out" / "certificates.csv.meta").read_text().splitlines()
+    assert "rate = 2.0" in meta and "rate_source = override" in meta
 
 
 def test_numeric_failure_in_surrogate_data_exits_3(tmp_path, capsys, monkeypatch):
