@@ -12,7 +12,9 @@ tests build that form as a taped oracle for the training kernel's gradients.
 
 Both modes read one table of elementary derivatives: each of ``exp``,
 ``sin``, ``cos``, ``tanh`` and ``erf`` is declared once, as its array
-function and its derivative rule.
+function and its derivative rule.  A Python float argument gives a Python
+float, computed by the same numpy function, so a reference trajectory that
+steps floats gets the numbers of a batch that steps arrays.
 """
 
 from __future__ import annotations
@@ -266,8 +268,14 @@ class Dual:
 # ``slope * derivative``.
 
 def _elementary(f, slope):
-    """The dispatching form of array function ``f`` with derivative ``slope``."""
+    """The dispatching form of array function ``f`` with derivative ``slope``.
+
+    A Python float gives ``float(f(x))``: ``math`` functions are cheaper but
+    differ from numpy's in the last bit on some arguments.
+    """
     def apply(x):
+        if type(x) is float:
+            return float(f(x))
         if isinstance(x, Var):
             v = x.value
             y = f(v)

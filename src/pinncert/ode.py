@@ -9,7 +9,8 @@ forward-mode Jacobians, and tape-recorded training batches.
 
 Batch columns: ``rhs(t, x, u)`` and ``jacobian_x(t, x, u)`` take x and u
 either as one point, x (dim,) and u (control_dim,), or as B points in
-columns, x (dim, B) and u (control_dim, B).  The rhs returns dim components
+columns, x (dim, B) and u (control_dim, B); one reference trajectory passes
+the rhs its point as lists of Python floats.  The rhs returns dim components
 of the batch shape; the Jacobian returns (dim, dim) for one point and
 (dim, dim, B) for columns, and a constant (dim, dim) matrix stands for
 every column.
@@ -17,6 +18,7 @@ every column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +75,9 @@ class CollocationSet:
 class OdeProblem:
     name: str
     dim: int
-    rhs: callable            # (t, x, u) -> dim components; x, u may hold batch columns
+    # (t, x, u) -> dim components; one reference trajectory passes x and u as lists
+    # of Python floats, a batch as columns x (dim, B) and u (control_dim, B)
+    rhs: callable
     t_final: float
     box: Box
     jacobian_x: callable = None   # analytic (t, x, u) -> (dim, dim[, B]) or constant (dim, dim)
@@ -191,6 +195,24 @@ def _first_nonfinite_time(x, t):
     return float(np.min(np.broadcast_to(t, bad.shape)[bad]))
 
 
+def _step(rhs, t0, t1, xs, u):
+    """One step of Butcher's sixth-order method from the blocks ``xs`` at t0 to t1."""
+    h = t1 - t0
+    k1 = rhs(t0, xs, u)
+    k2 = rhs(t0 + h / 3, [x + h * (a / 3) for x, a in zip(xs, k1)], u)
+    k3 = rhs(t0 + 2 * h / 3, [x + h * (2 / 3 * b) for x, b in zip(xs, k2)], u)
+    k4 = rhs(t0 + h / 3, [x + h * (a / 12 + b / 3 - c / 12)
+                          for x, a, b, c in zip(xs, k1, k2, k3)], u)
+    k5 = rhs(t0 + h / 2, [x + h * (-a / 16 + 9 / 8 * b - 3 / 16 * c - 3 / 8 * d)
+                          for x, a, b, c, d in zip(xs, k1, k2, k3, k4)], u)
+    k6 = rhs(t0 + h / 2, [x + h * (9 / 8 * b - 3 / 8 * c - 3 / 4 * d + e / 2)
+                          for x, b, c, d, e in zip(xs, k2, k3, k4, k5)], u)
+    k7 = rhs(t1, [x + h * (9 / 44 * a - 9 / 11 * b + 63 / 44 * c + 18 / 11 * d - 16 / 11 * f)
+                  for x, a, b, c, d, f in zip(xs, k1, k2, k3, k4, k6)], u)
+    return [x + h * (11 / 120 * (a + g) + 27 / 40 * (c + d) - 4 / 15 * (e + f))
+            for x, a, c, d, e, f, g in zip(xs, k1, k3, k4, k5, k6, k7)]
+
+
 def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
     """Fixed-step integration on the given grid with Butcher's seven-stage
     sixth-order Runge-Kutta method (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -199,9 +221,12 @@ def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
     One trajectory: x0 (d,), u (m,), t_grid (T,); states are (T, d).  A batch
     of B trajectories: x0 (B, d), u (B, m), and t_grid either shared (T,) or
     per row (T, B); states are (T, B, d).  A single trajectory passes the rhs
-    its d components as numpy scalars; a batch passes one (d, B) block, one
-    column per row.  A non-finite state raises :class:`BlowUpError` with the
-    earliest grid time at which a row blew up.
+    its d components, its m controls and its times as Python floats; a step
+    that raises ArithmeticError (or TypeError, for a complex power) is
+    repeated in numpy scalars, so a pole gives inf and a state the same
+    numbers as in a batch.  A batch passes one (d, B) block, one column per row.
+    A non-finite state raises :class:`BlowUpError` with the earliest grid time
+    at which a row blew up.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -217,34 +242,31 @@ def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
                                  f"got shape {t_grid.shape} for x0 {x0.shape}")
     if np.any(t_grid[0] != 0.0) or np.any(np.diff(t_grid, axis=0) <= 0):
         raise ConfigurationError("t_grid must start at 0 and increase strictly")
-    # the stages act on a list of blocks: one trajectory's d components as numpy
-    # scalars (numpy arithmetic: a pole gives inf, not ZeroDivisionError), or a batch's (d, B)
-    if x0.ndim == 1:
-        xs, rhs = list(x0), problem.rhs
-    else:
-        xs, rhs = [x0.T], (lambda t, blocks, u: [problem.rhs_array(t, blocks[0], u)])
-    u = u.T
     states = np.empty((len(t_grid), *x0.shape))
     states[0] = x0
     # a blow-up is reported as BlowUpError, not as numpy warnings on the way there
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, (t0, t1) in enumerate(zip(t_grid[:-1], t_grid[1:]), 1):
-            h = t1 - t0
-            k1 = rhs(t0, xs, u)
-            k2 = rhs(t0 + h / 3, [x + h * (a / 3) for x, a in zip(xs, k1)], u)
-            k3 = rhs(t0 + 2 * h / 3, [x + h * (2 / 3 * b) for x, b in zip(xs, k2)], u)
-            k4 = rhs(t0 + h / 3, [x + h * (a / 12 + b / 3 - c / 12)
-                                  for x, a, b, c in zip(xs, k1, k2, k3)], u)
-            k5 = rhs(t0 + h / 2, [x + h * (-a / 16 + 9 / 8 * b - 3 / 16 * c - 3 / 8 * d)
-                                  for x, a, b, c, d in zip(xs, k1, k2, k3, k4)], u)
-            k6 = rhs(t0 + h / 2, [x + h * (9 / 8 * b - 3 / 8 * c - 3 / 4 * d + e / 2)
-                                  for x, b, c, d, e in zip(xs, k2, k3, k4, k5)], u)
-            k7 = rhs(t1, [x + h * (9 / 44 * a - 9 / 11 * b + 63 / 44 * c + 18 / 11 * d
-                                   - 16 / 11 * f)
-                          for x, a, b, c, d, f in zip(xs, k1, k2, k3, k4, k6)], u)
-            xs = [x + h * (11 / 120 * (a + g) + 27 / 40 * (c + d) - 4 / 15 * (e + f))
-                  for x, a, c, d, e, f, g in zip(xs, k1, k3, k4, k5, k6, k7)]
-            states[i] = xs if x0.ndim == 1 else xs[0].T
-            if not np.isfinite(states[i]).all():
-                raise BlowUpError(_first_nonfinite_time(states[i].T, t1))
+        if x0.ndim == 1:
+            # Python float arithmetic is about three times cheaper than numpy scalars'
+            xs, u, times, f64 = x0.tolist(), u.tolist(), t_grid.tolist(), np.float64
+            for i, (t0, t1) in enumerate(zip(times[:-1], times[1:]), 1):
+                try:
+                    x1 = _step(problem.rhs, t0, t1, xs, u)
+                    finite = all(map(math.isfinite, x1))
+                except (ArithmeticError, TypeError):
+                    # on floats x / 0.0 and an overflowing ** raise, and a negative base
+                    # to a fractional power is complex: numpy scalars give inf or nan
+                    x1 = _step(problem.rhs, f64(t0), f64(t1), [*map(f64, xs)], [*map(f64, u)])
+                    finite = all(map(math.isfinite, x1))
+                if not finite:
+                    raise BlowUpError(t1)
+                states[i] = xs = x1
+        else:
+            xs, u = [x0.T], u.T
+            rhs = (lambda t, blocks, u: [problem.rhs_array(t, blocks[0], u)])
+            for i, (t0, t1) in enumerate(zip(t_grid[:-1], t_grid[1:]), 1):
+                xs = _step(rhs, t0, t1, xs, u)
+                states[i] = xs[0].T
+                if not np.isfinite(states[i]).all():
+                    raise BlowUpError(_first_nonfinite_time(states[i].T, t1))
     return Trajectory(times=t_grid, states=states)

@@ -84,9 +84,12 @@ def make_pendulum_schedule(n_intervals=SCHEDULE_INTERVALS, t_total=SCHEDULE_T_TO
 
     u is sampled from clamped LQR state feedback at each interval start;
     the next interval's x0 comes from a fixed-step sixth-order
-    :func:`solve_reference` pass through the interval at steps of h.
+    :func:`solve_reference` pass through the interval in equal steps no
+    longer than h.
     Returns a list of (t_start, x0 (4,), u) tuples.
     """
+    if not (h > 0 and math.isfinite(h)):
+        raise ConfigurationError(f"reference step h must be finite and > 0, got {h}")
     problem = inverted_pendulum()
     kp, kd, ks, ksd = _FEEDBACK_GAINS
     dt = t_total / n_intervals
@@ -96,7 +99,7 @@ def make_pendulum_schedule(n_intervals=SCHEDULE_INTERVALS, t_total=SCHEDULE_T_TO
         u = -(kp * x[0] + kd * x[1] + ks * x[2] + ksd * x[3])
         u = float(np.clip(u, -15.0, 15.0))
         rows.append((i * dt, x.copy(), u))
-        grid = np.linspace(0.0, dt, int(round(dt / h)) + 1)
+        grid = np.linspace(0.0, dt, math.ceil(dt / h) + 1)
         traj = solve_reference(problem, x, [u], grid)
         x = traj.states[-1]
     return rows

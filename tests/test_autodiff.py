@@ -143,6 +143,23 @@ def test_elementary_rule_in_both_modes(f, reference):
     np.testing.assert_array_equal(nested.derivative.value, tangent)
 
 
+@pytest.mark.parametrize("f,reference", [
+    (exp, np.exp), (sin, np.sin), (cos, np.cos), (tanh, np.tanh), (erf, scipy_erf),
+], ids=["exp", "sin", "cos", "tanh", "erf"])
+def test_elementary_float_argument_gives_the_array_result_as_a_float(f, reference):
+    # a reference trajectory steps Python floats and a batch steps arrays: both
+    # must read the same numbers, so a float takes the numpy function, not math's
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-5, 5, 500), rng.uniform(-1e3, 1e3, 200),
+                        rng.uniform(-1e8, 1e8, 100), [0.0, -0.0, 709.0, 710.0, -745.5],
+                        [np.inf, -np.inf, np.nan]])
+    with np.errstate(all="ignore"):
+        values = [f(v) for v in x.tolist()]
+        expected = reference(x)
+    assert all(type(v) is float for v in values)
+    np.testing.assert_array_equal(np.array(values).view(np.uint64), expected.view(np.uint64))
+
+
 def test_importing_the_cli_does_not_load_scipy():
     # scipy is needed only for erf (gelu networks) and loads on first use
     code = "import sys, pinncert.cli; print('scipy' in sys.modules)"

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from pinncert import presets
 from pinncert.certify import rhs_jacobian
 from pinncert.config import preset_config
 from pinncert.presets import (SCHEDULE_INTERVALS, SCHEDULE_T_TOTAL, build_dataset,
@@ -159,7 +160,7 @@ def test_blow_up_reports_time():
 @pytest.mark.parametrize("x0", [[100.0], [[20.0], [100.0]]], ids=["single", "batch"])
 def test_blow_up_raises_no_numpy_warning(x0):
     # x' = x^2 overflows; x' = 1/(x - 2) from x0 = 2 divides by zero (a Python
-    # float would raise ZeroDivisionError there instead)
+    # float raises ZeroDivisionError there, and the step is repeated in numpy scalars)
     for problem, start in ((_quad_problem(), x0), (_pole_problem(), np.full(np.shape(x0), 2.0))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -175,6 +176,58 @@ def _quad_problem():
 def _pole_problem():
     return OdeProblem(name="pole", dim=1, rhs=lambda t, x, u: [1.0 / (x[0] - 2.0)],
                       t_final=10.0, box=Box(t=(0, 10), x0=[(0, 4)]))
+
+
+def test_one_trajectory_steps_python_floats():
+    seen = []
+
+    def rhs(t, x, u):
+        seen.append((t, *x, *u))
+        return inverted_pendulum().rhs(t, x, u)
+
+    p = OdeProblem(name="recorded", dim=4, rhs=rhs, t_final=0.1, box=None, control_dim=1)
+    solve_reference(p, np.array([0.1, 0.2, 0.0, -0.3]), np.array([2.0]), np.linspace(0, 0.02, 11))
+    assert len(seen) == 7 * 10
+    assert all(type(v) is float for row in seen for v in row)
+
+
+def test_capped_pole_integrates_through_and_equals_a_batch():
+    # 1/(x - 2) raises ZeroDivisionError on the float 2.0; the step is repeated in
+    # numpy scalars, where the pole is inf and the cap holds
+    p = OdeProblem(name="capped_pole", dim=1,
+                   rhs=lambda t, x, u: [np.minimum(1.0 / (x[0] - 2.0), 5.0)],
+                   t_final=1.0, box=Box(t=(0, 1), x0=[(0, 4)]))
+    grid = np.linspace(0, 1, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        serial = solve_reference(p, [2.0], (), grid).states
+        batch = solve_reference(p, [[2.0]], (), grid).states
+    assert np.isfinite(serial).all() and serial[-1, 0] > 2.0
+    np.testing.assert_array_equal(serial, batch[:, 0])
+
+
+def test_complex_power_blows_up_as_in_a_batch():
+    # a negative float to a fractional power is complex in Python and nan in numpy
+    p = OdeProblem(name="root", dim=1, rhs=lambda t, x, u: [x[0] ** 0.5],
+                   t_final=1.0, box=Box(t=(0, 1), x0=[(-1, 1)]))
+    grid = np.linspace(0, 1, 11)
+    times = []
+    for x0 in ([-1.0], [[-1.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as exc:
+                solve_reference(p, x0, (), grid)
+        times.append(exc.value.t)
+    assert times[0] == times[1] == grid[1]
+
+
+def test_rhs_error_propagates_unchanged():
+    def rhs(t, x, u):
+        raise KeyError("missing parameter")
+
+    p = OdeProblem(name="broken", dim=1, rhs=rhs, t_final=1.0, box=Box(t=(0, 1), x0=[(0, 1)]))
+    with pytest.raises(KeyError, match="missing parameter"):
+        solve_reference(p, [1.0], (), np.linspace(0, 1, 11))
 
 
 def test_batch_blow_up_reports_first_row_time():
@@ -220,6 +273,28 @@ def test_schedule_rows_equal_batched_solves():
     grid = np.linspace(0.0, dt, int(round(dt / REFERENCE_STEP)) + 1)
     for (_, x0, u), (_, x1, _) in zip(rows[:-1], rows[1:]):
         np.testing.assert_array_equal(x1, solve_reference(p, x0[None], [[u]], grid).states[-1, 0])
+
+
+@pytest.mark.parametrize("h", [1.0, 0.1, REFERENCE_STEP])
+def test_schedule_steps_are_no_longer_than_h(h, monkeypatch):
+    grids = []
+
+    def recording_solve(problem, x0, u, t_grid):
+        grids.append(t_grid)
+        return solve_reference(problem, x0, u, t_grid)
+
+    monkeypatch.setattr(presets, "solve_reference", recording_solve)
+    presets.make_pendulum_schedule(n_intervals=3, h=h)
+    dt = SCHEDULE_T_TOTAL / 3
+    for grid in grids:
+        assert len(grid) == math.ceil(dt / h) + 1
+        assert np.max(np.diff(grid)) <= h
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_schedule_rejects_bad_step(h):
+    with pytest.raises(ConfigurationError, match="step h"):
+        make_pendulum_schedule(n_intervals=3, h=h)
 
 
 def test_dataset_targets_equal_serial_oracle():
