@@ -2,9 +2,12 @@
 
 Reverse mode: a ``Tape`` records array-valued elementary operations
 (``Var`` nodes), and a single reverse sweep yields gradients with respect
-to every recorded leaf.  Operations are vectorized over a batch axis so a
-full-batch training step costs a few hundred numpy calls, not millions of
-scalar node allocations.
+to every recorded leaf.  A node keeps its local partials as rows, one per
+parent: a module-level rule and the operands it reads, plus the parent's
+shape when the operation broadcast it.  ``backward`` reads the rows; it
+sums an adjoint down to its operand's shape only where that was recorded.
+Operations are vectorized over a batch axis so a full-batch training step
+costs a few hundred numpy calls, not millions of scalar node allocations.
 
 Forward mode: ``Dual`` carries (value, tangent) pairs through the same
 arithmetic.  The components of a ``Dual`` may themselves be ``Var``s; the
@@ -20,6 +23,7 @@ steps floats gets the numbers of a batch that steps arrays.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -30,13 +34,42 @@ class UsageError(RuntimeError):
 
 def _unbroadcast(grad, shape):
     """Sum an adjoint down to ``shape`` (reverses numpy broadcasting)."""
-    grad = np.asarray(grad, dtype=float)
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, n in enumerate(shape):
         if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
+
+
+# -- local partials ---------------------------------------------------------
+#
+# A node keeps one row (parent, rule, a, b, shape) per parent: the parent's
+# contribution to the sweep is ``rule(g, a, b)`` for the node's adjoint g, or
+# g itself when ``rule`` is None, summed down to ``shape`` when the operand
+# was broadcast (``shape`` is None when it was not).
+
+_times_b = lambda g, a, b: g * b
+_times_a = lambda g, a, b: g * a
+_over_b = lambda g, a, b: g / b
+_quotient = lambda g, a, b: -g * a / (b * b)
+_negate = lambda g, a, b: -g
+_power = lambda g, a, b: g * b * a ** (b - 1)
+_matmul_left = lambda g, a, b: g @ b.T
+_matmul_right = lambda g, a, b: a.T @ g
+_transpose = lambda g, a, b: g.T
+
+
+def _scatter(g, a, b):
+    out = np.zeros_like(a)
+    np.add.at(out, b, g)
+    return out
+
+
+def _spread(g, a, b):
+    out = np.empty(a.shape)
+    out[...] = g if b is None else np.expand_dims(g, b)
+    return out
 
 
 class Tape:
@@ -52,7 +85,7 @@ class Tape:
 
 
 class Var:
-    """A tape-recorded array value with known local partials."""
+    """A tape-recorded array value with its rows of local partials."""
 
     __slots__ = ("value", "tape", "parents")
     __array_ufunc__ = None  # force numpy to defer to our reflected ops
@@ -65,102 +98,85 @@ class Var:
 
     @property
     def shape(self):
-        return np.shape(self.value)
+        return self.value.shape
 
     # -- binary arithmetic ------------------------------------------------
 
-    def _binary(self, other, fwd, d_self, d_other):
+    def _binary(self, other, op, rule_self, rule_other):
         if isinstance(other, Dual):
             return NotImplemented
         ov = other.value if isinstance(other, Var) else np.asarray(other, dtype=float)
         sv = self.value
-        out_val = fwd(sv, ov)
-        parents = [(self, lambda g: _unbroadcast(d_self(g, sv, ov), np.shape(sv)))]
+        out = op(sv, ov)
+        rows = [(self, rule_self, sv, ov, None if sv.shape == out.shape else sv.shape)]
         if isinstance(other, Var):
-            parents.append((other, lambda g: _unbroadcast(d_other(g, sv, ov), np.shape(ov))))
-        return Var(out_val, self.tape, tuple(parents))
+            rows.append((other, rule_other, sv, ov, None if ov.shape == out.shape else ov.shape))
+        return Var(out, self.tape, tuple(rows))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b,
-                            lambda g, a, b: g, lambda g, a, b: g)
+        return self._binary(other, operator.add, None, None)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b,
-                            lambda g, a, b: g, lambda g, a, b: -g)
+        return self._binary(other, operator.sub, None, _negate)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b,
-                            lambda g, a, b: g * b, lambda g, a, b: g * a)
+        return self._binary(other, operator.mul, _times_b, _times_a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b,
-                            lambda g, a, b: g / b,
-                            lambda g, a, b: -g * a / (b * b))
+        return self._binary(other, operator.truediv, _over_b, _quotient)
 
     def __rtruediv__(self, other):
         ov = np.asarray(other, dtype=float)
         sv = self.value
-        return Var(ov / sv, self.tape,
-                   ((self, lambda g: _unbroadcast(-g * ov / (sv * sv), np.shape(sv))),))
+        out = ov / sv
+        return Var(out, self.tape,
+                   ((self, _quotient, ov, sv, None if sv.shape == out.shape else sv.shape),))
 
     def __neg__(self):
-        return Var(-self.value, self.tape, ((self, lambda g: -g),))
+        return Var(-self.value, self.tape, ((self, _negate, None, None, None),))
 
     def __pow__(self, p):
         sv = self.value
-        return Var(sv ** p, self.tape,
-                   ((self, lambda g: g * p * sv ** (p - 1)),))
+        return Var(sv ** p, self.tape, ((self, _power, sv, p, None),))
 
     def __matmul__(self, other):
         if isinstance(other, Dual):
             return NotImplemented
         ov = other.value if isinstance(other, Var) else np.asarray(other, dtype=float)
         sv = self.value
-        parents = [(self, lambda g: g @ ov.T)]
+        rows = [(self, _matmul_left, sv, ov, None)]
         if isinstance(other, Var):
-            parents.append((other, lambda g: sv.T @ g))
-        return Var(sv @ ov, self.tape, tuple(parents))
+            rows.append((other, _matmul_right, sv, ov, None))
+        return Var(sv @ ov, self.tape, tuple(rows))
 
     def __rmatmul__(self, other):
         ov = np.asarray(other, dtype=float)
         sv = self.value
-        return Var(ov @ sv, self.tape, ((self, lambda g: ov.T @ g),))
+        return Var(ov @ sv, self.tape, ((self, _matmul_right, ov, sv, None),))
 
     # -- structure --------------------------------------------------------
 
     @property
     def T(self):
-        return Var(self.value.T, self.tape, ((self, lambda g: g.T),))
+        return Var(self.value.T, self.tape, ((self, _transpose, None, None, None),))
 
     def __getitem__(self, idx):
         sv = self.value
-
-        def pull(g):
-            out = np.zeros_like(sv)
-            np.add.at(out, idx, g)
-            return out
-
-        return Var(sv[idx], self.tape, ((self, pull),))
+        return Var(sv[idx], self.tape, ((self, _scatter, sv, idx, None),))
 
     def sum(self, axis=None):
         sv = self.value
-
-        def pull(g):
-            if axis is None:
-                return np.broadcast_to(g, np.shape(sv)).copy()
-            return np.broadcast_to(np.expand_dims(g, axis), np.shape(sv)).copy()
-
-        return Var(sv.sum(axis=axis), self.tape, ((self, pull),))
+        return Var(np.add.reduce(sv, axis=axis), self.tape, ((self, _spread, sv, axis, None),))
 
     def mean(self, axis=None):
-        n = np.size(self.value) if axis is None else np.shape(self.value)[axis]
+        n = self.value.size if axis is None else self.value.shape[axis]
         return self.sum(axis=axis) / float(n)
 
 
@@ -173,13 +189,12 @@ def backward(scalar):
         g = adjoints.get(id(node))
         if g is None:
             continue
-        for parent, pull in node.parents:
-            contribution = pull(g)
-            key = id(parent)
-            if key in adjoints:
-                adjoints[key] = adjoints[key] + contribution
-            else:
-                adjoints[key] = contribution
+        for parent, rule, a, b, shape in node.parents:
+            contribution = g if rule is None else rule(g, a, b)
+            if shape is not None:
+                contribution = _unbroadcast(contribution, shape)
+            prev = adjoints.get(id(parent))
+            adjoints[id(parent)] = contribution if prev is None else prev + contribution
     return adjoints
 
 
@@ -273,13 +288,16 @@ def _elementary(f, slope):
     A Python float gives ``float(f(x))``: ``math`` functions are cheaper but
     differ from numpy's in the last bit on some arguments.
     """
+    def pull(g, v, y):
+        return g * slope(v, y)
+
     def apply(x):
         if type(x) is float:
             return float(f(x))
         if isinstance(x, Var):
             v = x.value
             y = f(v)
-            return Var(y, x.tape, ((x, lambda g: g * slope(v, y)),))
+            return Var(y, x.tape, ((x, pull, v, y, None),))
         if isinstance(x, Dual):
             y = apply(x.value)
             return Dual(y, slope(x.value, y) * x.derivative)

@@ -70,9 +70,14 @@ def init_network(layer_dims, activation="tanh", seed=0, meta=None):
 
 def infer_layout(net: Network, problem: OdeProblem = None):
     """Which of (t, x0, u) feed the network: its metadata, else the input
-    width against ``problem``'s state and control dimensions."""
+    width against ``problem``'s state and control dimensions.  Either way
+    the columns are t first, then x0 and u in that order."""
     if "inputs" in net.meta:
-        return list(net.meta["inputs"])
+        layout = list(net.meta["inputs"])
+        if layout not in (["t"], ["t", "x0"], ["t", "u"], ["t", "x0", "u"]):
+            raise ConfigurationError(f"network inputs {layout} are not t followed by "
+                                     "x0 and/or u in that order")
+        return layout
     if problem is None:
         raise ConfigurationError("network metadata names no inputs and no problem "
                                  "is given to infer them from the input width")
@@ -194,17 +199,23 @@ class MlpJet:
         def buffers(widths):
             return [np.empty((rows, w)) for w in widths]
 
+        def shared(count):
+            # the reverse reads only the adjoint of the layer above: ``count``
+            # blocks serve every hidden layer, each a (rows, width) view
+            flat = [np.empty(rows * max(hidden)) for _ in hidden[:count]]
+            return [flat[k % count][:rows * w].reshape(rows, w) for k, w in enumerate(hidden)]
+
         self.value = buffers(net.layer_dims[1:])    # activations; the output last
         self.slope = buffers(hidden)                # sigma' at each hidden layer
         self.curv = [] if self.tanh else buffers(hidden)    # sigma''
-        self.g_value = buffers(hidden)
+        self.g_value = shared(2)
         self.gwt = [np.empty((a, b)) for a, b in zip(net.layer_dims[:-1], net.layer_dims[1:])]
         self.gb = [np.empty(w) for w in net.layer_dims[1:]]
         if tangent is not None:
             self.pre_dot = buffers(net.layer_dims[1:])   # d/dt of the pre-activations
             self.dot = buffers(hidden)                  # d/dt of the activations
-            self.g_dot = buffers(hidden)
-            self.scratch = buffers(hidden)
+            self.g_dot = shared(2)
+            self.scratch = shared(1)
             self.gwt_dot = [np.empty_like(g) for g in self.gwt]
 
     def forward(self):
@@ -246,7 +257,7 @@ class MlpJet:
                 hd = self.dot[k - 1] if k else self.tangent
                 np.matmul(hd.T, gzd, out=self.gwt_dot[k])
                 np.add(self.gwt_dot[k], self.gwt[k], out=self.gwt[k])
-            np.sum(gz, axis=0, out=self.gb[k])
+            np.add.reduce(gz, axis=0, out=self.gb[k])
             if k == 0:
                 break
             gh, s = self.g_value[k - 1], self.slope[k - 1]

@@ -253,6 +253,8 @@ def _run_lbfgs(net, run, evaluate, history):
     total, ld, lp, grad = evaluate()
     if not np.isfinite(total):
         raise DivergenceError(0)
+    if not np.all(np.isfinite(grad)):
+        raise DivergenceError(0, "gradient")
     s_hist, y_hist = [], []
     for epoch in range(run.epochs):
         history.append((total, ld, lp))

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -101,6 +102,83 @@ def test_tape_broadcast_bias_gradient():
     loss = (x + b).sum()
     grads = backward(loss)
     np.testing.assert_allclose(grads[id(b)], [5.0, 5.0])
+
+
+# -- the record-time shape rule: every adjoint has its leaf's shape --------
+
+def _assert_gradients(f, values):
+    """The tape's adjoint of every leaf of ``f`` has the leaf's shape and
+    equals a central difference of ``f`` on plain arrays."""
+    tape = Tape()
+    leaves = [tape.var(v) for v in values]
+    adjoints = backward(f(*leaves))
+    h = 1e-6
+    for k, (leaf, v) in enumerate(zip(leaves, values)):
+        g = adjoints[id(leaf)]
+        assert np.shape(g) == np.shape(v)
+        fd = np.empty(np.shape(v))
+        for idx in np.ndindex(fd.shape):
+            steps = []
+            for sign in (1.0, -1.0):
+                moved = [np.array(w, dtype=float) for w in values]
+                moved[k][idx] += sign * h
+                steps.append(f(*moved))
+            fd[idx] = (steps[0] - steps[1]) / (2 * h)
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_SHAPES = [((), (3, 4)), ((4,), (3, 4)), ((3, 1), (3, 4)), ((1, 4), (3, 4))]
+_PAIRS = _SHAPES + [pair[::-1] for pair in _SHAPES] + [((3, 4), (3, 4))]
+_WEIGHT = np.random.default_rng(1).normal(size=(3, 4))
+
+
+def _operands(shapes):
+    rng = np.random.default_rng(0)
+    return [rng.uniform(0.5, 1.5, shape) for shape in shapes]  # away from 0 for /
+
+
+@pytest.mark.parametrize("shapes", _PAIRS, ids=str)
+@pytest.mark.parametrize("op", _OPS)
+def test_binary_op_adjoints_reverse_broadcasting(op, shapes):
+    _assert_gradients(lambda a, b: (_OPS[op](a, b) * _WEIGHT).sum(), _operands(shapes))
+
+
+@pytest.mark.parametrize("shapes", _PAIRS, ids=str)
+@pytest.mark.parametrize("op", _OPS)
+def test_reflected_op_adjoints_reverse_broadcasting(op, shapes):
+    # an array on the left: ndarray - Var, ndarray / Var, ...
+    const, value = _operands(shapes)
+    _assert_gradients(lambda b: (_OPS[op](const, b) * _WEIGHT).sum(), [value])
+    _assert_gradients(lambda b: (_OPS[op](2.0, b) * _WEIGHT).sum(), [value])
+
+
+@pytest.mark.parametrize("f", [lambda x: x * x, lambda x: x / x],
+                         ids=["x * x", "x / x"])
+def test_var_used_twice_in_one_op(f):
+    _assert_gradients(lambda x: (f(x) * _WEIGHT).sum(), _operands([(3, 4)]))
+
+
+def test_fancy_getitem_adds_repeated_indices():
+    rows = [0, 2, 0, 0]
+    weight = np.random.default_rng(2).normal(size=(4, 4))
+    _assert_gradients(lambda x: (x[rows] * weight).sum(), _operands([(3, 4)]))
+    _assert_gradients(lambda x: (x[:, 1] * x[:, 3]).sum(), _operands([(3, 4)]))
+
+
+@pytest.mark.parametrize("axis", [0, 1, None])
+@pytest.mark.parametrize("reduction", ["sum", "mean"])
+def test_reductions_and_power(reduction, axis):
+    _assert_gradients(lambda x: (getattr(x * _WEIGHT, reduction)(axis=axis) ** 3).sum(),
+                      _operands([(3, 4)]))
+
+
+def test_matmul_in_both_directions():
+    m = np.random.default_rng(3).normal(size=(2, 3))
+    a, b = _operands([(3, 4), (4, 5)])
+    _assert_gradients(lambda x, y: ((x @ y) ** 2).sum(), [a, b])
+    _assert_gradients(lambda x: ((m @ x) ** 2).sum(), [a])        # ndarray @ Var
+    _assert_gradients(lambda y: ((a @ y).T @ m.T).sum(), [b])
 
 
 def test_backward_on_unrecorded_scalar_raises():

@@ -327,6 +327,17 @@ def test_overflowing_growth_factor_exits_3(tmp_path, capsys, n_override):
     assert not (tmp_path / "out" / "certificates.csv").exists()
 
 
+@pytest.mark.parametrize("inputs, width", [(["x0"], 1), (["x0", "t"], 2)])
+def test_network_inputs_out_of_the_t_x0_u_order_exit_2(tmp_path, capsys, inputs, width):
+    # the columns are always built as (t, x0, u), and column 0 is taken as time
+    path, cfg = tiny_decay_config(tmp_path)
+    net_path = tmp_path / "net.json"
+    save_network(init_network([width, 4, 1], seed=0, meta={"inputs": inputs}), net_path)
+    assert main(["certify", "--config", str(path), "--network", str(net_path)]) == 2
+    assert str(inputs) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
+
+
 def test_divergent_training_exits_3(tmp_path):
     path, cfg = tiny_decay_config(tmp_path, lr=1e300, epochs=60)
     with np.errstate(all="ignore"):

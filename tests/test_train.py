@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from pinncert import presets
-from pinncert.autodiff import Dual, Tape
+from pinncert.autodiff import Dual, Tape, sin
 from pinncert.config import preset_config
 from pinncert.network import (MlpJet, Network, flatten_params, forward, init_network,
                               parameter_gradient, set_params)
-from pinncert.ode import ConfigurationError, decay_1d
+from pinncert.ode import Box, ConfigurationError, OdeProblem, decay_1d
 from pinncert.train import (CollocationSet, DataSet, DivergenceError,
                             TrainingRun, _loss_and_grad, adam_step, anchor_dataset,
                             assemble_inputs, eta_weights, export_loss_history,
-                            infer_layout, loss_data, loss_physics,
+                            infer_layout, loss_data, loss_physics, optimize,
                             sample_collocation, train)
 
 
@@ -231,6 +231,20 @@ def test_divergence_reported_with_epoch():
     assert exc.value.epoch == 0
 
 
+@pytest.mark.parametrize("optimizer", ["adam", "lbfgs"])
+def test_non_finite_first_gradient_is_a_divergence(optimizer):
+    net = init_network([1, 4, 1], seed=0, meta={"inputs": ["t"]})
+    theta = flatten_params(net)
+
+    def evaluate():
+        return 1.0, 1.0, 0.0, np.full_like(theta, np.nan)
+
+    with pytest.raises(DivergenceError, match="gradient at epoch 0") as exc:
+        optimize(net, TrainingRun(epochs=5, optimizer=optimizer), evaluate)
+    assert exc.value.epoch == 0
+    assert np.array_equal(flatten_params(net), theta)
+
+
 def test_run_validation():
     with pytest.raises(ConfigurationError):
         TrainingRun(gamma_data=-1.0).validate()
@@ -350,6 +364,23 @@ def _kernel_and_tape(net, problem, dataset, colloc, run, steps):
 @pytest.mark.parametrize("name", ["decay1d", "pendulum"])
 def test_tanh_kernel_equals_the_tape_bit_for_bit(name, steps):
     kernel, taped = _kernel_and_tape(*_preset_problem(name), steps)
+    for a, b in zip(kernel, taped):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("steps", [0, 20])
+@pytest.mark.parametrize("dims", [[3, 5, 3, 7, 2], [3, 2]], ids=["unequal-widths", "no-hidden"])
+def test_tanh_kernel_equals_the_tape_bit_for_bit_on_any_widths(dims, steps):
+    # hidden layers of different widths share the reverse's scratch blocks
+    problem = OdeProblem(name="damped", dim=2,
+                         rhs=lambda t, x, u: [x[1], -sin(x[0]) - 0.1 * x[1]],
+                         t_final=2.0, box=Box(t=(0.0, 2.0), x0=[(-1.0, 1.0), (-1.0, 1.0)]))
+    net = init_network(dims, seed=4, meta={"inputs": ["t", "x0"]})
+    colloc = sample_collocation(problem, 40, seed=4)
+    dataset = DataSet(t=colloc.t[:6], x0=colloc.x0[:6],
+                      x_target=np.random.default_rng(4).normal(size=(6, 2)))
+    run = TrainingRun(gamma_data=0.5, gamma_phys=1.0)
+    kernel, taped = _kernel_and_tape(net, problem, dataset, colloc, run, steps)
     for a, b in zip(kernel, taped):
         assert np.array_equal(a, b)
 
