@@ -12,10 +12,9 @@ from .certify import (Certificate, Certifier, CertifyConfig, ResidualFn, SmoothD
                       subinterval_count, trapezoid_bound_integral)
 from .network import (Network, forward, init_network, input_jacobian,
                       load_network, parameter_gradient, save_network)
-from .ode import (CollocationSet, OdeProblem, Trajectory, decay_1d, inverted_pendulum,
+from .ode import (OdeProblem, PointSet, Trajectory, decay_1d, inverted_pendulum,
                   sample_collocation, solve_reference)
-from .surrogate import (SurrogateDataset, asymmetric_loss,
-                        generate_surrogate_data, train_error_net)
-from .train import DataSet, TrainingRun, loss_data, loss_physics, train
+from .surrogate import asymmetric_loss, generate_surrogate_data, train_error_net
+from .train import TrainingRun, loss_data, loss_physics, train
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ import numpy as np
 
 from .autodiff import Dual
 from .network import Network, assemble_inputs, forward, infer_layout, time_tangent
-from .ode import (REFERENCE_STEP, CollocationSet, ConfigurationError, NumericError,
-                  OdeProblem, sample_collocation, solve_reference)
+from .ode import (REFERENCE_STEP, ConfigurationError, NumericError, OdeProblem, PointSet,
+                  sample_collocation, solve_reference)
 from .table import write_table
 
 
@@ -79,7 +79,7 @@ class ResidualFn:
             return np.linalg.norm(self(t), axis=1)
 
 
-def mean_residual_norm(net: Network, problem: OdeProblem, colloc: CollocationSet):
+def mean_residual_norm(net: Network, problem: OdeProblem, colloc: PointSet):
     """Average residual norm over the collocation set (each point's own x0, u)."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
@@ -156,7 +156,7 @@ def rhs_jacobian(problem: OdeProblem, t, x, u):
     return jac
 
 
-def estimate_lipschitz(problem: OdeProblem, colloc: CollocationSet):
+def estimate_lipschitz(problem: OdeProblem, colloc: PointSet):
     """L = max over collocation points of sigma_max(df/dx)."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
@@ -337,13 +337,18 @@ class Certifier:
         self._trajectories = {}
 
     def trajectory(self, x0, u, times=()) -> TrajectoryConstants:
-        """The per-(x0, u) constants: the smooth majorant delta, ||e(0)|| and K.
+        """The constants of x0 (dim,) and u (control_dim,): the smooth majorant
+        delta, ||e(0)|| and K.
 
         Given query ``times``, delta is also evaluated on the trapezoid nodes
         of each time inside (0, t_final], in one residual pass, so that
         :func:`bound` at those times reads them instead of calling the network.
         """
         x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
+        p = self.problem
+        if x0.shape != (p.dim,) or u.shape != (p.control_dim,):
+            raise ConfigurationError(f"x0 must be ({p.dim},) and u ({p.control_dim},); "
+                                     f"got shapes {x0.shape} and {u.shape}")
         key = (x0.tobytes(), u.tobytes())
         if key not in self._trajectories:
             delta = SmoothDelta(ResidualFn(self.net, self.problem, x0, u), self.mu)

@@ -122,8 +122,7 @@ def cmd_surrogate(args):
     net = load_network(args.network or Path(cfg.out_dir) / "network.json")
     certifier = cert.Certifier(net, problem, certify_config(cfg))
     if args.data:
-        dataset = surrogate.load_surrogate_dataset(
-            args.data, problem.dim, problem.control_dim, seed=cfg.seed + 23)
+        dataset = surrogate.load_surrogate_dataset(args.data, problem.dim, problem.control_dim)
     else:
         dataset = surrogate.generate_surrogate_data(
             net, problem, cfg.surr_count, cfg.seed + 23, certifier=certifier)

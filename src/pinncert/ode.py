@@ -58,20 +58,6 @@ class Box:
 
 
 @dataclass
-class CollocationSet:
-    """Sampled (t, x0[, u]) points, reproducible from the seed."""
-
-    t: np.ndarray       # (N,)
-    x0: np.ndarray      # (N, n)
-    u: np.ndarray       # (N, k), k may be 0
-    seed: int
-    box: Box
-
-    def __len__(self):
-        return len(self.t)
-
-
-@dataclass
 class OdeProblem:
     name: str
     dim: int
@@ -104,7 +90,25 @@ class Trajectory:
             raise ValueError("states row count must match times")
 
 
-def sample_collocation(problem: OdeProblem, count, seed) -> CollocationSet:
+@dataclass
+class PointSet:
+    """(t, x0, u) rows, with an optional ``target`` per row: states (N, n) for
+    a PINN's data term, certified totals (N,) for the error surrogate."""
+
+    t: np.ndarray               # (N,)
+    x0: np.ndarray              # (N, n)
+    u: np.ndarray = None        # (N, k); None gives no controls, k = 0
+    target: np.ndarray = None
+
+    def __post_init__(self):
+        if self.u is None:
+            self.u = np.zeros((len(self.t), 0))
+
+    def __len__(self):
+        return len(self.t)
+
+
+def sample_collocation(problem: OdeProblem, count, seed) -> PointSet:
     """Uniform i.i.d. samples of (t, x0[, u]) over the problem's domain box."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
@@ -114,11 +118,8 @@ def sample_collocation(problem: OdeProblem, count, seed) -> CollocationSet:
     rng = np.random.default_rng(seed)
     t = rng.uniform(box.t[0], box.t[1], size=count)
     x0 = np.column_stack([rng.uniform(lo, hi, size=count) for lo, hi in box.x0])
-    if box.u:
-        u = np.column_stack([rng.uniform(lo, hi, size=count) for lo, hi in box.u])
-    else:
-        u = np.zeros((count, 0))
-    return CollocationSet(t=t, x0=x0, u=u, seed=seed, box=box)
+    u = np.column_stack([rng.uniform(lo, hi, size=count) for lo, hi in box.u]) if box.u else None
+    return PointSet(t, x0, u)
 
 
 def decay_1d() -> OdeProblem:
@@ -240,6 +241,8 @@ def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
     if t_grid.ndim == 0 or t_grid.size == 0 or t_grid.shape[1:] not in ((), x0.shape[:-1]):
         raise ConfigurationError(f"t_grid must be (T,) or (T, B) with B the x0 rows; "
                                  f"got shape {t_grid.shape} for x0 {x0.shape}")
+    if not np.isfinite(t_grid).all():
+        raise ConfigurationError(f"t_grid must be finite, got {t_grid[~np.isfinite(t_grid)][0]}")
     if np.any(t_grid[0] != 0.0) or np.any(np.diff(t_grid, axis=0) <= 0):
         raise ConfigurationError("t_grid must start at 0 and increase strictly")
     states = np.empty((len(t_grid), *x0.shape))

@@ -13,10 +13,10 @@ import numpy as np
 # certify_config is not used here: it is re-exported for callers of this module
 from .config import ExperimentConfig, build_training_run, certify_config
 from .network import Network, init_network
-from .ode import (REFERENCE_STEP, ConfigurationError, OdeProblem, decay_1d,
+from .ode import (REFERENCE_STEP, ConfigurationError, OdeProblem, PointSet, decay_1d,
                   inverted_pendulum, sample_collocation, solve_reference)
 from .table import read_table, write_table
-from .train import DataSet, anchor_dataset, merge_datasets, train
+from .train import anchor_dataset, train
 
 SCHEDULE_INTERVALS = 50
 SCHEDULE_T_TOTAL = 4.0
@@ -37,8 +37,8 @@ def build_network(cfg: ExperimentConfig, problem: OdeProblem) -> Network:
                         seed=cfg.seed, meta={"inputs": layout, "preset": cfg.preset})
 
 
-def build_dataset(cfg: ExperimentConfig, problem: OdeProblem, seed=None) -> DataSet:
-    """Supervised records: t=0 anchors plus (for the pendulum) reference samples.
+def build_dataset(cfg: ExperimentConfig, problem: OdeProblem, seed=None) -> PointSet:
+    """Supervised records: (for the pendulum) reference samples, then t=0 anchors.
 
     Each sample's target comes from ``ceil(t_max / REFERENCE_STEP)`` equal
     sixth-order steps to its own time t <= t_max, the end of the time box.
@@ -46,15 +46,16 @@ def build_dataset(cfg: ExperimentConfig, problem: OdeProblem, seed=None) -> Data
     seed = cfg.seed if seed is None else seed
     if cfg.preset == "decay1d":
         return anchor_dataset(problem, [[2.0]])
-    rng_points = sample_collocation(problem, cfg.data_count, seed + 1)
+    points = sample_collocation(problem, cfg.data_count, seed + 1)
     # one batched pass on a per-row grid: row i takes the same steps to t_i as
     # a serial solve, so the targets equal a serial solve's bit for bit
     steps = math.ceil(problem.box.t[1] / REFERENCE_STEP)
-    grid = np.linspace(0.0, rng_points.t, steps + 1)
-    targets = solve_reference(problem, rng_points.x0, rng_points.u, grid).states[-1]
-    data = DataSet(t=rng_points.t, x0=rng_points.x0, x_target=targets, u=rng_points.u)
-    anchors = anchor_dataset(problem, rng_points.x0, u=rng_points.u)
-    return merge_datasets(data, anchors)
+    grid = np.linspace(0.0, points.t, steps + 1)
+    targets = solve_reference(problem, points.x0, points.u, grid).states[-1]
+    # the reference rows, then a t = 0 anchor mapping each x0 to itself
+    return PointSet(np.concatenate([points.t, np.zeros(len(points))]),
+                    np.vstack([points.x0, points.x0]), np.vstack([points.u, points.u]),
+                    np.vstack([targets, points.x0]))
 
 
 def train_preset(cfg: ExperimentConfig):

@@ -7,44 +7,27 @@ overestimation, which pushes the fit to a smooth upper wrapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tape, Var
 from .certify import Certifier, CertifyConfig, bound
 from .network import (Network, assemble_inputs, forward, infer_layout, init_network,
                       parameter_gradient)
-from .ode import ConfigurationError, NumericError, OdeProblem, sample_collocation
+from .ode import ConfigurationError, NumericError, OdeProblem, PointSet, sample_collocation
 from .table import point_columns, read_table, write_table
 from .train import TrainingRun, optimize
 
 
-@dataclass
-class SurrogateDataset:
-    """Generated (t, x0[, u]) points with certified bound totals as targets."""
-
-    t: np.ndarray
-    x0: np.ndarray
-    u: np.ndarray
-    targets: np.ndarray
-    seed: int
-
-    def __len__(self):
-        return len(self.t)
-
-
 def generate_surrogate_data(net: Network, problem: OdeProblem, count, seed,
                             config: CertifyConfig = None, *,
-                            certifier: Certifier = None) -> SurrogateDataset:
-    """Certify ``count`` seeded random domain points and record the totals,
+                            certifier: Certifier = None) -> PointSet:
+    """Certify ``count`` seeded random domain points, with their totals as targets,
     with ``certifier`` if given, else with a new Certifier built from ``config``."""
     if certifier is None:
         certifier = Certifier(net, problem, config)
-    colloc = sample_collocation(problem, count, seed)
-    targets = certified_totals(certifier, colloc.t, colloc.x0, colloc.u, "generated point")
-    return SurrogateDataset(t=colloc.t, x0=colloc.x0, u=colloc.u,
-                            targets=targets, seed=seed)
+    points = sample_collocation(problem, count, seed)
+    points.target = certified_totals(certifier, points.t, points.x0, points.u, "generated point")
+    return points
 
 
 def certified_totals(certifier: Certifier, t, x0, u, what):
@@ -81,15 +64,14 @@ def asymmetric_loss(pred, target, under_weight):
     return (w * diff * diff).mean()
 
 
-def train_error_net(dataset: SurrogateDataset, arch, run: TrainingRun,
-                    under_weight=1000.0, problem: OdeProblem = None) -> Network:
+def train_error_net(dataset: PointSet, arch, run: TrainingRun, under_weight=1000.0) -> Network:
     """Fit a scalar network to the certified totals with asymmetric loss.
 
     ``arch`` is the hidden-layer spec, e.g. [4, 4]; the input layout matches
     the PINN (t[, x0][, u]) inferred from the dataset columns.
     """
-    if len(dataset) == 0:
-        raise ConfigurationError("empty surrogate dataset")
+    if len(dataset) == 0 or dataset.target is None:
+        raise ConfigurationError("the surrogate dataset has no rows or no targets")
     if under_weight < 1:
         raise ConfigurationError("under_weight must be >= 1")
     run.validate()
@@ -100,7 +82,7 @@ def train_error_net(dataset: SurrogateDataset, arch, run: TrainingRun,
     if dataset.u.shape[1]:
         layout.append("u")
     X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
-    y = dataset.targets
+    y = dataset.target
     net = init_network([X.shape[1], *arch, 1], activation="tanh", seed=run.seed,
                        meta={"inputs": layout, "kind": "error_indicator"})
 
@@ -119,15 +101,14 @@ def evaluate_error_net(net: Network, t, x0, u):
     return forward(net, assemble_inputs(infer_layout(net), t, x0, u))[:, 0]
 
 
-def export_surrogate_dataset(dataset: SurrogateDataset, path):
+def export_surrogate_dataset(dataset: PointSet, path):
     """CSV `t,x0_1..x0_n[,u],e_target`."""
     write_table(path, [*point_columns(dataset.x0.shape[1], dataset.u.shape[1]), "e_target"],
-                np.column_stack([dataset.t, dataset.x0, dataset.u, dataset.targets]))
+                np.column_stack([dataset.t, dataset.x0, dataset.u, dataset.target]))
 
 
-def load_surrogate_dataset(path, dim, control_dim=0, seed=None) -> SurrogateDataset:
+def load_surrogate_dataset(path, dim, control_dim=0) -> PointSet:
     point = point_columns(dim, control_dim)
     idx, rows = read_table(path, [*point, "e_target"])
-    return SurrogateDataset(t=rows[:, idx["t"]], x0=rows[:, [idx[c] for c in point[1:1 + dim]]],
-                            u=rows[:, [idx[c] for c in point[1 + dim:]]],
-                            targets=rows[:, idx["e_target"]], seed=seed)
+    return PointSet(rows[:, idx["t"]], rows[:, [idx[c] for c in point[1:1 + dim]]],
+                    rows[:, [idx[c] for c in point[1 + dim:]]], rows[:, idx["e_target"]])

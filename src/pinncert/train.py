@@ -1,4 +1,4 @@
-"""Physics-informed training: datasets, losses, optimizers.
+"""Physics-informed training: losses and optimizers.
 
 Training is full batch (sets are at most ~1e4 points) and strictly
 deterministic per seed: no minibatching, fixed summation order.
@@ -16,8 +16,7 @@ from .certify import residual_batch_columns, residual_columns
 from .network import (MlpJet, Network, assemble_inputs, flatten_params, forward,
                       infer_layout, set_params, time_tangent)
 # sample_collocation is not used here: it is re-exported for callers of this module
-from .ode import (CollocationSet, ConfigurationError, NumericError, OdeProblem,
-                  sample_collocation)
+from .ode import ConfigurationError, NumericError, OdeProblem, PointSet, sample_collocation
 from .table import write_table
 
 
@@ -28,23 +27,6 @@ class DivergenceError(NumericError):
     def __init__(self, epoch, what="loss"):
         super().__init__(f"non-finite {what} at epoch {epoch}")
         self.epoch = epoch
-
-
-@dataclass
-class DataSet:
-    """Supervised records z = (t, x0, x_target), plus the constant control."""
-
-    t: np.ndarray        # (N,)
-    x0: np.ndarray       # (N, n)
-    x_target: np.ndarray  # (N, n)
-    u: np.ndarray = None  # (N, k); defaults to no controls
-
-    def __post_init__(self):
-        if self.u is None:
-            self.u = np.zeros((len(self.t), 0))
-
-    def __len__(self):
-        return len(self.t)
 
 
 @dataclass
@@ -83,18 +65,11 @@ def eta_weights(eta, t):
     return np.interp(t, pts[:, 0], pts[:, 1])
 
 
-def anchor_dataset(problem: OdeProblem, x0s, u=None) -> DataSet:
+def anchor_dataset(problem: OdeProblem, x0s, u=None) -> PointSet:
     """t=0 records mapping each initial value to itself (pins E_init)."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    return DataSet(t=np.zeros(len(x0s)), x0=x0s, x_target=x0s.copy(),
-                   u=None if u is None else np.atleast_2d(np.asarray(u, dtype=float)))
-
-
-def merge_datasets(a: DataSet, b: DataSet) -> DataSet:
-    return DataSet(t=np.concatenate([a.t, b.t]),
-                   x0=np.vstack([a.x0, b.x0]),
-                   x_target=np.vstack([a.x_target, b.x_target]),
-                   u=np.vstack([a.u, b.u]))
+    return PointSet(np.zeros(len(x0s)), x0s,
+                    None if u is None else np.atleast_2d(np.asarray(u, dtype=float)), x0s.copy())
 
 
 # -- losses ---------------------------------------------------------------
@@ -116,15 +91,15 @@ def _weighted_mean_square(r_cols, eta_w):
     return (eta_w * sq).mean()
 
 
-def loss_data(net: Network, dataset: DataSet, problem: OdeProblem = None):
+def loss_data(net: Network, dataset: PointSet, problem: OdeProblem = None):
     """Mean squared Euclidean deviation from the supervised targets."""
-    if len(dataset) == 0:
-        raise ConfigurationError("empty dataset")
+    if len(dataset) == 0 or dataset.target is None:
+        raise ConfigurationError("the dataset has no rows or no targets")
     X = assemble_inputs(infer_layout(net, problem), dataset.t, dataset.x0, dataset.u)
-    return float(_squared_error(forward(net, X), dataset.x_target))
+    return float(_squared_error(forward(net, X), dataset.target))
 
 
-def loss_physics(net: Network, problem: OdeProblem, colloc: CollocationSet, eta=None):
+def loss_physics(net: Network, problem: OdeProblem, colloc: PointSet, eta=None):
     """Mean eta-weighted squared residual norm over the collocation set."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
@@ -137,6 +112,8 @@ def _training_jets(net, layout, dataset, colloc, run):
     with zero weight or no points."""
     data = phys = None
     if run.gamma_data > 0 and dataset is not None and len(dataset):
+        if dataset.target is None:
+            raise ConfigurationError("the supervised points carry no targets")
         data = MlpJet(net, assemble_inputs(layout, dataset.t, dataset.x0, dataset.u))
     if run.gamma_phys > 0 and colloc is not None and len(colloc):
         X = assemble_inputs(layout, colloc.t, colloc.x0, colloc.u)
@@ -160,7 +137,7 @@ def _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w, jets=None)
     total = None
     if data_jet is not None:
         y_data = tape.var(data_jet.forward()[0])
-        l_data = _squared_error(y_data, dataset.x_target)
+        l_data = _squared_error(y_data, dataset.target)
         parts["data"] = float(l_data.value)
         total = run.gamma_data * l_data
     if phys_jet is not None:
@@ -191,8 +168,8 @@ def _stack(adjoints, cols):
     return np.column_stack([_adjoint(adjoints, col) for col in cols])
 
 
-def train(net: Network, problem: OdeProblem, dataset: DataSet,
-          colloc: CollocationSet, run: TrainingRun):
+def train(net: Network, problem: OdeProblem, dataset: PointSet, colloc: PointSet,
+          run: TrainingRun):
     """Minimize gamma_data * L_data + gamma_phys * L_phys in place.
 
     Returns (net, loss_history) with one (total, data, phys) triple per

@@ -20,9 +20,9 @@ from pinncert.autodiff import Dual
 from pinncert.cli import main
 from pinncert.config import certify_config, preset_config
 from pinncert.network import Network, init_network, load_network, save_network
-from pinncert.ode import (Box, ConfigurationError, OdeProblem, decay_1d,
+from pinncert.ode import (Box, ConfigurationError, OdeProblem, PointSet, decay_1d,
                           inverted_pendulum, solve_reference)
-from pinncert.train import CollocationSet, TrainingRun, anchor_dataset, sample_collocation, train
+from pinncert.train import TrainingRun, anchor_dataset, sample_collocation, train
 
 
 def linear_time_net(slope, intercept, dim=1):
@@ -87,9 +87,7 @@ def test_mean_residual_norm_is_mean():
     # |R(t)| = 8t: equals 1 at t = 1/8 and 3 at t = 3/8
     problem = decay_1d()
     net = linear_time_net(-4.0, 2.0)
-    colloc = CollocationSet(t=np.array([1.0 / 8.0, 3.0 / 8.0]),
-                            x0=np.full((2, 1), 2.0), u=np.zeros((2, 0)),
-                            seed=0, box=problem.box)
+    colloc = PointSet(t=np.array([1.0 / 8.0, 3.0 / 8.0]), x0=np.full((2, 1), 2.0))
     assert mean_residual_norm(net, problem, colloc) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -574,6 +572,22 @@ def test_certifier_reproduces_bound_nonlinear_on_pendulum():
     traj = Certifier(net, problem, cfg).trajectory(x0, u)
     for t in np.linspace(0.0, problem.t_final, 4):
         assert bound(traj, t) == bound_nonlinear(net, problem, x0, u, t, cfg)
+
+
+@pytest.mark.parametrize("case", ["x0 too long", "x0 as a column", "u on decay1d",
+                                  "pendulum without u", "pendulum u as a scalar"])
+def test_wrong_length_x0_or_u_is_a_configuration_error(case, quick_decay_net):
+    # a network that does not take x0 or u as inputs would broadcast them into ||e(0)||
+    pendulum = init_network([6, 4, 4], seed=0, meta={"inputs": ["t", "x0", "u"]})
+    net, problem, x0, u = {
+        "x0 too long": (quick_decay_net, decay_1d(), [2.0, 5.0], ()),
+        "x0 as a column": (quick_decay_net, decay_1d(), [[2.0], [3.0]], ()),
+        "u on decay1d": (quick_decay_net, decay_1d(), [2.0], [1.0]),
+        "pendulum without u": (pendulum, inverted_pendulum(), [0.1, 0.0, 0.0, 0.0], ()),
+        "pendulum u as a scalar": (pendulum, inverted_pendulum(), [0.1, 0.0, 0.0, 0.0], 1.0),
+    }[case]
+    with pytest.raises(ConfigurationError, match="got shapes"):
+        bound_nonlinear(net, problem, x0, u, 0.05, CertifyConfig(colloc_count=20))
 
 
 def test_certificate_components_sum_and_sign(quick_decay_net):

@@ -12,7 +12,7 @@ from pinncert.presets import (SCHEDULE_INTERVALS, SCHEDULE_T_TOTAL, build_datase
                               make_pendulum_schedule)
 from pinncert.ode import (GRAVITY, PENDULUM_A, PENDULUM_D, PENDULUM_J, PENDULUM_M,
                           REFERENCE_STEP, BlowUpError, Box, ConfigurationError,
-                          OdeProblem, Trajectory, decay_1d, inverted_pendulum,
+                          OdeProblem, PointSet, Trajectory, decay_1d, inverted_pendulum,
                           sample_collocation, solve_reference)
 
 
@@ -306,7 +306,28 @@ def test_dataset_targets_equal_serial_oracle():
     for i in range(n):
         grid = np.linspace(0.0, data.t[i], steps + 1)
         expected = solve_reference(p, data.x0[i], data.u[i], grid).states[-1]
-        np.testing.assert_array_equal(data.x_target[i], expected)
+        np.testing.assert_array_equal(data.target[i], expected)
+
+
+def test_dataset_keeps_reference_rows_before_their_anchors():
+    cfg = preset_config("pendulum")
+    cfg.data_count = 5
+    p = inverted_pendulum()
+    data = build_dataset(cfg, p)
+    points = sample_collocation(p, 5, cfg.seed + 1)
+    np.testing.assert_array_equal(data.t, np.concatenate([points.t, np.zeros(5)]))
+    np.testing.assert_array_equal(data.x0, np.vstack([points.x0, points.x0]))
+    np.testing.assert_array_equal(data.u, np.vstack([points.u, points.u]))
+    assert data.target.shape == (10, 4)
+    np.testing.assert_array_equal(data.target[5:], points.x0)     # an anchor pins x0
+    decay = build_dataset(preset_config("decay1d"), decay_1d())
+    assert (decay.t.tolist(), decay.x0.tolist(), decay.target.tolist()) == ([0.0], [[2.0]], [[2.0]])
+
+
+def test_point_set_without_controls_has_zero_control_columns():
+    points = PointSet(t=np.zeros(3), x0=np.ones((3, 2)))
+    assert points.u.shape == (3, 0) and points.target is None and len(points) == 3
+    assert sample_collocation(decay_1d(), 4, seed=0).u.shape == (4, 0)
 
 
 def test_reference_shape_mismatches_rejected():
@@ -329,6 +350,11 @@ def test_bad_grid_rejected():
         solve_reference(p, [2.0], (), np.array([0.5, 1.0]))
     with pytest.raises(ConfigurationError):
         solve_reference(p, [2.0], (), np.array([0.0, 1.0, 1.0]))
+    # a NaN compares false in the increasing-grid check, and the solve would then blow up
+    for x0, grid in (([2.0], [0.0, math.nan, 1.0]), ([2.0], [0.0, 1.0, math.inf]),
+                     ([[2.0], [1.0]], [[0.0, 0.0], [0.5, math.nan]])):
+        with pytest.raises(ConfigurationError, match="finite"):
+            solve_reference(p, x0, (), np.array(grid))
 
 
 def test_degenerate_grid_returns_initial_state():

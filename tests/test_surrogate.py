@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from pinncert.certify import Certifier, CertifyConfig, bound
 from pinncert.network import init_network
-from pinncert.ode import ConfigurationError, decay_1d
-from pinncert.surrogate import (SurrogateDataset, asymmetric_loss,
+from pinncert.ode import ConfigurationError, PointSet, decay_1d
+from pinncert.surrogate import (asymmetric_loss,
                                 evaluate_error_net, export_surrogate_dataset,
                                 generate_surrogate_data, load_surrogate_dataset,
                                 train_error_net)
@@ -73,8 +73,8 @@ def test_generate_is_seeded_and_positive(quick_decay_net):
     b = generate_surrogate_data(quick_decay_net, problem, 12, seed=5, config=cfg)
     assert len(a) == 12
     np.testing.assert_array_equal(a.t, b.t)
-    np.testing.assert_array_equal(a.targets, b.targets)
-    assert np.all(a.targets > 0)
+    np.testing.assert_array_equal(a.target, b.target)
+    assert np.all(a.target > 0)
 
 
 def test_generate_matches_direct_bounds(quick_decay_net):
@@ -84,7 +84,7 @@ def test_generate_matches_direct_bounds(quick_decay_net):
     certifier = Certifier(quick_decay_net, problem, cfg)
     for i in range(4):
         direct = bound(certifier.trajectory(ds.x0[i], ds.u[i]), ds.t[i])
-        assert ds.targets[i] == direct.total
+        assert ds.target[i] == direct.total
 
 
 # -- error-net training ---------------------------------------------------
@@ -93,8 +93,7 @@ def _toy_dataset(n=40, seed=0):
     rng = np.random.default_rng(seed)
     t = np.sort(rng.uniform(0, 2, size=n))
     targets = 0.1 + 0.3 * t
-    return SurrogateDataset(t=t, x0=np.full((n, 1), 2.0), u=np.zeros((n, 0)),
-                            targets=targets, seed=seed)
+    return PointSet(t=t, x0=np.full((n, 1), 2.0), u=np.zeros((n, 0)), target=targets)
 
 
 def test_error_net_deterministic_and_scalar_output():
@@ -138,10 +137,11 @@ def test_error_net_without_input_metadata_is_a_configuration_error():
 
 
 def test_train_error_net_validation():
-    empty = SurrogateDataset(t=np.zeros(0), x0=np.zeros((0, 1)),
-                             u=np.zeros((0, 0)), targets=np.zeros(0), seed=0)
+    empty = PointSet(t=np.zeros(0), x0=np.zeros((0, 1)), u=np.zeros((0, 0)), target=np.zeros(0))
     with pytest.raises(ConfigurationError):
         train_error_net(empty, [4], TrainingRun(epochs=1), 1.0)
+    with pytest.raises(ConfigurationError, match="no targets"):
+        train_error_net(PointSet(t=np.zeros(3), x0=np.ones((3, 1))), [4], TrainingRun(epochs=1))
     with pytest.raises(ConfigurationError):
         train_error_net(_toy_dataset(), [4], TrainingRun(epochs=1), 0.5)
     # no epochs means no loss evaluation, so asymmetric_loss's own check never runs
@@ -150,10 +150,13 @@ def test_train_error_net_validation():
 
 
 def test_dataset_export_round_trip(tmp_path):
-    ds = _toy_dataset(n=7, seed=2)
-    path = tmp_path / "surr.csv"
-    export_surrogate_dataset(ds, path)
-    loaded = load_surrogate_dataset(path, dim=1, control_dim=0, seed=2)
-    np.testing.assert_array_equal(loaded.t, ds.t)
-    np.testing.assert_array_equal(loaded.x0, ds.x0)
-    np.testing.assert_array_equal(loaded.targets, ds.targets)
+    # one state without controls, and four states with one control
+    rng = np.random.default_rng(2)
+    four_states = PointSet(t=rng.uniform(0.0, 0.1, 7), x0=rng.normal(size=(7, 4)),
+                           u=rng.normal(size=(7, 1)), target=rng.lognormal(size=7))
+    for ds in (_toy_dataset(n=7, seed=2), four_states):
+        path = tmp_path / "surr.csv"
+        export_surrogate_dataset(ds, path)
+        loaded = load_surrogate_dataset(path, dim=ds.x0.shape[1], control_dim=ds.u.shape[1])
+        for name in ("t", "x0", "u", "target"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(ds, name), strict=True)

@@ -8,10 +8,9 @@ from pinncert.autodiff import Dual, Tape, sin
 from pinncert.config import preset_config
 from pinncert.network import (MlpJet, Network, flatten_params, forward, init_network,
                               parameter_gradient, set_params)
-from pinncert.ode import Box, ConfigurationError, OdeProblem, decay_1d
-from pinncert.train import (CollocationSet, DataSet, DivergenceError,
-                            TrainingRun, _loss_and_grad, adam_step, anchor_dataset,
-                            assemble_inputs, eta_weights, export_loss_history,
+from pinncert.ode import Box, ConfigurationError, OdeProblem, PointSet, decay_1d
+from pinncert.train import (DivergenceError, TrainingRun, _loss_and_grad, adam_step,
+                            anchor_dataset, assemble_inputs, eta_weights, export_loss_history,
                             infer_layout, loss_data, loss_physics, optimize,
                             sample_collocation, train)
 
@@ -63,35 +62,41 @@ def test_loss_data_hand_value_two_components():
     # constant prediction (0.3, 0.4) against target (0, 0): 0.09 + 0.16
     net = Network([1, 2], [np.zeros((2, 1))], [np.array([0.3, 0.4])],
                   meta={"inputs": ["t"]})
-    ds = DataSet(t=np.array([0.5]), x0=np.zeros((1, 2)), x_target=np.zeros((1, 2)))
+    ds = PointSet(t=np.array([0.5]), x0=np.zeros((1, 2)), target=np.zeros((1, 2)))
     assert loss_data(net, ds) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_loss_data_is_mean_over_records():
     # squared errors 1 and 3 average to 2
     net = Network([1, 1], [np.zeros((1, 1))], [np.zeros(1)], meta={"inputs": ["t"]})
-    ds = DataSet(t=np.array([0.1, 0.2]), x0=np.zeros((2, 1)),
-                 x_target=np.array([[1.0], [np.sqrt(3.0)]]))
+    ds = PointSet(t=np.array([0.1, 0.2]), x0=np.zeros((2, 1)),
+                  target=np.array([[1.0], [np.sqrt(3.0)]]))
     assert loss_data(net, ds) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_loss_data_rejects_empty():
     with pytest.raises(ConfigurationError):
-        loss_data(linear_time_net(0, 2), DataSet(t=np.zeros(0), x0=np.zeros((0, 1)),
-                                                 x_target=np.zeros((0, 1))))
+        loss_data(linear_time_net(0, 2), PointSet(t=np.zeros(0), x0=np.zeros((0, 1)),
+                                                  target=np.zeros((0, 1))))
+    # points without targets, such as a collocation set, are no data term
+    problem = decay_1d()
+    colloc = _point_colloc([0.5])
+    with pytest.raises(ConfigurationError, match="no targets"):
+        loss_data(linear_time_net(0, 2), colloc)
+    with pytest.raises(ConfigurationError, match="no targets"):
+        train(linear_time_net(0, 2), problem, colloc, colloc, TrainingRun(epochs=1))
 
 
-def _point_colloc(problem, t_values):
+def _point_colloc(t_values):
     t = np.asarray(t_values, dtype=float)
-    return CollocationSet(t=t, x0=np.full((len(t), 1), 2.0),
-                          u=np.zeros((len(t), 0)), seed=0, box=problem.box)
+    return PointSet(t=t, x0=np.full((len(t), 1), 2.0))
 
 
 def test_loss_physics_hand_value():
     # candidate 2 - 4t for decay: R(t) = -8t, so |R| = 0.5 at t = 1/16
     problem = decay_1d()
     net = linear_time_net(-4.0, 2.0)
-    colloc = _point_colloc(problem, [1.0 / 16.0])
+    colloc = _point_colloc([1.0 / 16.0])
     assert loss_physics(net, problem, colloc) == pytest.approx(0.25, rel=1e-12)
     assert loss_physics(net, problem, colloc,
                         eta=lambda t: 4.0) == pytest.approx(1.0, rel=1e-12)
@@ -101,15 +106,15 @@ def test_loss_physics_permutation_invariant():
     problem = decay_1d()
     net = linear_time_net(-4.0, 2.0)
     t = np.random.default_rng(1).uniform(0, 2, size=9)
-    a = loss_physics(net, problem, _point_colloc(problem, t))
-    b = loss_physics(net, problem, _point_colloc(problem, t[::-1]))
+    a = loss_physics(net, problem, _point_colloc(t))
+    b = loss_physics(net, problem, _point_colloc(t[::-1]))
     assert a == b
 
 
 def test_loss_physics_rejects_empty():
     problem = decay_1d()
     with pytest.raises(ConfigurationError):
-        loss_physics(linear_time_net(0, 2), problem, _point_colloc(problem, []))
+        loss_physics(linear_time_net(0, 2), problem, _point_colloc([]))
 
 
 def test_eta_breakpoint_table_interpolates():
@@ -186,8 +191,7 @@ def test_supervised_regression_fits_decay_curve():
     # pure data loss on exact samples of 2 e^{-2t}
     problem = decay_1d()
     t = np.linspace(0.0, 2.0, 40)
-    ds = DataSet(t=t, x0=np.full((40, 1), 2.0),
-                 x_target=2.0 * np.exp(-2.0 * t)[:, None])
+    ds = PointSet(t=t, x0=np.full((40, 1), 2.0), target=2.0 * np.exp(-2.0 * t)[:, None])
     net = init_network([1, 4, 4, 1], seed=0, meta={"inputs": ["t"]})
     run = TrainingRun(gamma_phys=0.0, epochs=5000, lr=1e-2, seed=0)
     _, history = train(net, problem, ds, None, run)
@@ -224,10 +228,9 @@ def test_total_loss_gradient_matches_finite_differences():
 def test_divergence_reported_with_epoch():
     problem = decay_1d()
     net = linear_time_net(0.0, 2.0)
-    ds = DataSet(t=np.array([0.0]), x0=np.array([[2.0]]),
-                 x_target=np.array([[np.inf]]))
+    ds = PointSet(t=np.array([0.0]), x0=np.array([[2.0]]), target=np.array([[np.inf]]))
     with pytest.raises(DivergenceError) as exc, np.errstate(invalid="ignore"):
-        train(net, problem, ds, _point_colloc(problem, [0.5]), TrainingRun(epochs=5))
+        train(net, problem, ds, _point_colloc([0.5]), TrainingRun(epochs=5))
     assert exc.value.epoch == 0
 
 
@@ -287,7 +290,7 @@ def test_infer_layout_from_width():
 
 def test_layout_without_metadata_or_problem_is_a_configuration_error():
     net = Network([1, 1], [np.ones((1, 1))], [np.zeros(1)])
-    ds = DataSet(t=np.zeros(1), x0=np.ones((1, 1)), x_target=np.ones((1, 1)))
+    ds = PointSet(t=np.zeros(1), x0=np.ones((1, 1)), target=np.ones((1, 1)))
     with pytest.raises(ConfigurationError, match="inputs"):
         loss_data(net, ds)
     assert loss_data(net, ds, decay_1d()) == 1.0      # the width fixes the layout
@@ -311,7 +314,7 @@ def _taped_loss_and_grad(net, problem, dataset, colloc, run, eta_w):
     total, l_data, l_phys = None, 0.0, 0.0
     if run.gamma_data > 0 and dataset is not None and len(dataset):
         X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
-        diff = forward(net, X, tape) - dataset.x_target
+        diff = forward(net, X, tape) - dataset.target
         loss = (diff * diff).sum(axis=1).mean()
         l_data, total = float(loss.value), run.gamma_data * loss
     if run.gamma_phys > 0 and colloc is not None and len(colloc):
@@ -377,8 +380,8 @@ def test_tanh_kernel_equals_the_tape_bit_for_bit_on_any_widths(dims, steps):
                          t_final=2.0, box=Box(t=(0.0, 2.0), x0=[(-1.0, 1.0), (-1.0, 1.0)]))
     net = init_network(dims, seed=4, meta={"inputs": ["t", "x0"]})
     colloc = sample_collocation(problem, 40, seed=4)
-    dataset = DataSet(t=colloc.t[:6], x0=colloc.x0[:6],
-                      x_target=np.random.default_rng(4).normal(size=(6, 2)))
+    dataset = PointSet(t=colloc.t[:6], x0=colloc.x0[:6],
+                       target=np.random.default_rng(4).normal(size=(6, 2)))
     run = TrainingRun(gamma_data=0.5, gamma_phys=1.0)
     kernel, taped = _kernel_and_tape(net, problem, dataset, colloc, run, steps)
     for a, b in zip(kernel, taped):
