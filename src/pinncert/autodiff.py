@@ -67,17 +67,21 @@ def _scatter(g, a, b):
 
 
 def _spread(g, a, b):
+    # b is the summed shape with the summed axis kept (None for a full sum)
     out = np.empty(a.shape)
-    out[...] = g if b is None else np.expand_dims(g, b)
+    out[...] = g if b is None else g.reshape(b)
     return out
 
 
 class Tape:
-    """Recording of elementary operations for one reverse sweep."""
+    """Recording of elementary operations for one reverse sweep, with the
+    network weights bound as its leaves and the network kernels recorded
+    behind some of its leaves (``network.forward``, ``MlpJet.record``)."""
 
     def __init__(self):
         self.nodes = []
         self._bindings = {}
+        self._kernels = []
 
     def var(self, value):
         """Create a leaf variable on this tape."""
@@ -172,8 +176,13 @@ class Var:
         return Var(sv[idx], self.tape, ((self, _scatter, sv, idx, None),))
 
     def sum(self, axis=None):
+        """The sum over one axis, or over all of them."""
         sv = self.value
-        return Var(np.add.reduce(sv, axis=axis), self.tape, ((self, _spread, sv, axis, None),))
+        kept = None
+        if axis is not None:
+            axis %= sv.ndim
+            kept = sv.shape[:axis] + (1,) + sv.shape[axis + 1:]
+        return Var(np.add.reduce(sv, axis=axis), self.tape, ((self, _spread, sv, kept, None),))
 
     def mean(self, axis=None):
         n = self.value.size if axis is None else self.value.shape[axis]
@@ -184,7 +193,7 @@ def backward(scalar):
     """Reverse sweep from a recorded scalar; returns {id(Var): adjoint}."""
     if not isinstance(scalar, Var):
         raise UsageError("gradient requested on a value that was never recorded on a tape")
-    adjoints = {id(scalar): np.ones_like(np.asarray(scalar.value, dtype=float))}
+    adjoints = {id(scalar): np.ones(np.shape(scalar.value))}
     for node in reversed(scalar.tape.nodes):
         g = adjoints.get(id(node))
         if g is None:

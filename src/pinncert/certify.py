@@ -425,7 +425,9 @@ def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
                  h=REFERENCE_STEP):
     """||x(t) - phihat(t)|| at the query times: (T,) for one (x0, u).
 
-    Rows x0 (B, d) and u (B, m) that share the query times give (B, T).  The
+    Rows x0 (B, d) and u (B, m) that share the query times give (B, T); a
+    problem without controls also takes one empty u for all rows.  Other
+    shapes raise :class:`ConfigurationError`.  The
     reference is the closed form if the problem has one, else one pass of
     the sixth-order :func:`solve_reference` over a grid through 0 and every
     distinct query time, each gap split into equal steps no longer than h.
@@ -440,7 +442,12 @@ def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
     if bad.size:
         raise ConfigurationError(f"query time {t_grid.flat[bad[0]]} (index {bad[0]}) "
                                  "must be finite and >= 0")
-    x0 = np.asarray(x0, dtype=float)
+    x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
+    n, m = problem.dim, problem.control_dim
+    if not (x0.shape == (n,) and u.shape == (m,) or x0.ndim == 2 and x0.shape[1] == n
+            and (u.shape == (len(x0), m) or u.size == m == 0)):
+        raise ConfigurationError(f"x0 must be ({n},) and u ({m},), or rows (B, {n}) and "
+                                 f"(B, {m}); got shapes {x0.shape} and {u.shape}")
     if problem.exact_solution is not None:
         # one call over all times; a batch passes one column per component, as
         # to the rhs, and the times as (T, 1) so they broadcast against them

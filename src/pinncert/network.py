@@ -184,7 +184,9 @@ class MlpJet:
 
     Built once per input set: every buffer is allocated here and refilled by
     each :meth:`forward` / :meth:`backward`, which read the network's
-    current weights.  Without a ``tangent`` only the value is carried.
+    current weights.  Without a ``tangent`` only the value is carried.  A
+    loss built on tape leaves holding the outputs reaches the weights
+    through :meth:`record` and :func:`parameter_gradient`.
     """
 
     def __init__(self, net: Network, x, tangent=None):
@@ -242,6 +244,20 @@ class MlpJet:
             if hd is not None:
                 hd = np.multiply(s, self.pre_dot[k], out=self.dot[k])
         return self.value[last], None if hd is None else self.pre_dot[last]
+
+    def record(self, tape: Tape, value, dot=None):
+        """Record this kernel on ``tape`` as the network behind the leaves
+        that hold its last :meth:`forward`: ``value`` and, with a tangent,
+        ``dot``, each one (B, n_out) leaf or a list of n_out (B,) column
+        leaves.  :func:`parameter_gradient` pulls their adjoints through
+        :meth:`backward`, which rejects a block of another shape."""
+        if dot is not None and self.tangent is None:
+            raise UsageError("a kernel without a tangent has no d/dt to record")
+        for leaves in (value,) if dot is None else (value, dot):
+            for leaf in (leaves,) if isinstance(leaves, Var) else leaves:
+                if not isinstance(leaf, Var) or leaf.tape is not tape or leaf.parents:
+                    raise UsageError("a kernel's outputs are recorded as leaves of its tape")
+        tape._kernels.append((self, value, dot))
 
     def backward(self, g_value, g_dot=None, *, out, add=False):
         """Pull the output adjoints of the last :meth:`forward` back to the
@@ -310,21 +326,44 @@ def input_jacobian(net: Network, x):
 
 
 def parameter_gradient(net: Network, loss_scalar):
-    """Flat d(loss)/d(all weights and biases), in layer order (W then b)."""
+    """Flat d(loss)/d(all weights and biases), in layer order (W then b).
+
+    One reverse sweep from the loss reaches the weights that :func:`forward`
+    bound on its tape and the output leaves of each kernel recorded there
+    (:meth:`MlpJet.record`); every kernel pulls its leaves' adjoints back to
+    the weights, added onto the contributions before it.
+    """
     if not isinstance(loss_scalar, Var):
         raise UsageError("loss was not recorded on a tape")
-    binding = loss_scalar.tape._bindings.get(id(net))
-    if binding is None:
+    tape = loss_scalar.tape
+    binding = tape._bindings.get(id(net))
+    kernels = [entry for entry in tape._kernels if entry[0].net is net]
+    if binding is None and not kernels:
         raise UsageError("network parameters were never bound on this tape")
-    wvars, bvars = binding
     adjoints = backward(loss_scalar)
-    pieces = []
-    for wv, bv in zip(wvars, bvars):
-        gw = adjoints.get(id(wv))
-        gb = adjoints.get(id(bv))
-        pieces.append(np.ravel(gw if gw is not None else np.zeros_like(wv.value)))
-        pieces.append(np.ravel(gb if gb is not None else np.zeros_like(bv.value)))
-    return np.concatenate(pieces)
+    if binding is None:
+        grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases)))
+    else:
+        grad = np.concatenate([np.ravel(_adjoint(adjoints, leaf))
+                               for pair in zip(*binding) for leaf in pair])
+    for k, (jet, value, dot) in enumerate(kernels):
+        jet.backward(_adjoint(adjoints, value), _adjoint(adjoints, dot), out=grad,
+                     add=binding is not None or k > 0)
+    return grad
+
+
+def _adjoint(adjoints, leaves):
+    """The adjoint of a leaf (zeros where the sweep never reached it); for a
+    list of column leaves, their adjoints side by side; None for None."""
+    if leaves is None:
+        return None
+    if isinstance(leaves, Var):
+        g = adjoints.get(id(leaves))
+        return np.zeros_like(leaves.value) if g is None else g
+    block = np.empty((len(leaves[0].value), len(leaves)))
+    for i, leaf in enumerate(leaves):
+        block[:, i] = adjoints.get(id(leaf), 0.0)
+    return block
 
 
 def flatten_params(net: Network):
@@ -334,13 +373,16 @@ def flatten_params(net: Network):
 
 def set_params(net: Network, flat):
     """Write a flat parameter vector back into the network, in place."""
+    size = sum([w.size + b.size for w, b in zip(net.weights, net.biases)])
+    if len(flat) != size or flat.ndim != 1:
+        raise ShapeError(f"parameter vector of shape {np.shape(flat)} for a network "
+                         f"of {size} parameters")
     offset = 0
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         net.weights[k] = flat[offset:offset + w.size].reshape(w.shape).copy()
         offset += w.size
         net.biases[k] = flat[offset:offset + b.size].copy()
         offset += b.size
-    assert offset == len(flat)
 
 
 def save_network(net: Network, path):

@@ -45,7 +45,7 @@ def build_dataset(cfg: ExperimentConfig, problem: OdeProblem, seed=None) -> Poin
     """
     seed = cfg.seed if seed is None else seed
     if cfg.preset == "decay1d":
-        return anchor_dataset(problem, [[2.0]])
+        return anchor_dataset([[2.0]])
     points = sample_collocation(problem, cfg.data_count, seed + 1)
     # one batched pass on a per-row grid: row i takes the same steps to t_i as
     # a serial solve, so the targets equal a serial solve's bit for bit

@@ -11,8 +11,8 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .certify import Certifier, CertifyConfig, bound
-from .network import (Network, assemble_inputs, forward, infer_layout, init_network,
-                      parameter_gradient)
+from .network import (MlpJet, Network, assemble_inputs, forward, infer_layout,
+                      init_network, parameter_gradient)
 from .ode import ConfigurationError, NumericError, OdeProblem, PointSet, sample_collocation
 from .table import point_columns, read_table, write_table
 from .train import TrainingRun, optimize
@@ -86,8 +86,12 @@ def train_error_net(dataset: PointSet, arch, run: TrainingRun, under_weight=1000
     net = init_network([X.shape[1], *arch, 1], activation="tanh", seed=run.seed,
                        meta={"inputs": layout, "kind": "error_indicator"})
 
+    jet = MlpJet(net, X)
+
     def evaluate():
-        pred = forward(net, X, Tape())[:, 0]
+        tape = Tape()
+        pred = tape.var(jet.forward()[0][:, 0])
+        jet.record(tape, [pred])
         loss = asymmetric_loss(pred, y, under_weight)
         grad = parameter_gradient(net, loss)
         return float(loss.value), float(loss.value), 0.0, grad

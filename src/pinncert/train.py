@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, backward
+from .autodiff import Tape
 from .certify import residual_batch_columns, residual_columns
 from .network import (MlpJet, Network, assemble_inputs, flatten_params, forward,
-                      infer_layout, set_params, time_tangent)
+                      infer_layout, parameter_gradient, set_params, time_tangent)
 # sample_collocation is not used here: it is re-exported for callers of this module
 from .ode import ConfigurationError, NumericError, OdeProblem, PointSet, sample_collocation
 from .table import write_table
@@ -65,7 +65,7 @@ def eta_weights(eta, t):
     return np.interp(t, pts[:, 0], pts[:, 1])
 
 
-def anchor_dataset(problem: OdeProblem, x0s, u=None) -> PointSet:
+def anchor_dataset(x0s, u=None) -> PointSet:
     """t=0 records mapping each initial value to itself (pins E_init)."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     return PointSet(np.zeros(len(x0s)), x0s,
@@ -126,7 +126,8 @@ def _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w, jets=None)
 
     The network runs in the :class:`MlpJet` kernels ``jets`` (built here when
     not given); the rhs, residual and reductions are recorded on a small tape
-    whose leaves are the kernels' output columns.
+    whose leaves are the kernels' output columns, with the kernels recorded
+    behind them for :func:`parameter_gradient`.
     """
     data_jet, phys_jet = _training_jets(net, layout, dataset, colloc, run) \
         if jets is None else jets
@@ -137,6 +138,7 @@ def _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w, jets=None)
     total = None
     if data_jet is not None:
         y_data = tape.var(data_jet.forward()[0])
+        data_jet.record(tape, y_data)
         l_data = _squared_error(y_data, dataset.target)
         parts["data"] = float(l_data.value)
         total = run.gamma_data * l_data
@@ -144,28 +146,13 @@ def _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w, jets=None)
         y, ydot = phys_jet.forward()
         x_cols = [tape.var(y[:, i]) for i in range(problem.dim)]
         xdot_cols = [tape.var(ydot[:, i]) for i in range(problem.dim)]
+        phys_jet.record(tape, x_cols, xdot_cols)
         l_phys = _weighted_mean_square(
             residual_columns(problem, colloc.t, colloc.u, x_cols, xdot_cols), eta_w)
         parts["phys"] = float(l_phys.value)
         term = run.gamma_phys * l_phys
         total = term if total is None else total + term
-    adjoints = backward(total)
-    grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases)))
-    if phys_jet is not None:
-        phys_jet.backward(_stack(adjoints, x_cols), _stack(adjoints, xdot_cols), out=grad)
-    if data_jet is not None:
-        data_jet.backward(_adjoint(adjoints, y_data), out=grad, add=phys_jet is not None)
-    return float(total.value), parts["data"], parts["phys"], grad
-
-
-def _adjoint(adjoints, leaf):
-    g = adjoints.get(id(leaf))
-    return np.zeros_like(leaf.value) if g is None else g
-
-
-def _stack(adjoints, cols):
-    """The adjoints of the leaf columns ``cols``, side by side."""
-    return np.column_stack([_adjoint(adjoints, col) for col in cols])
+    return float(total.value), parts["data"], parts["phys"], parameter_gradient(net, total)
 
 
 def train(net: Network, problem: OdeProblem, dataset: PointSet, colloc: PointSet,
@@ -232,20 +219,19 @@ def _run_lbfgs(net, run, evaluate, history):
         raise DivergenceError(0)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError(0, "gradient")
-    s_hist, y_hist = [], []
+    pairs = []          # (s, y, rho = 1 / (y . s)), oldest first
+    gamma = None        # the initial Hessian scale (s . y) / (y . y) of the newest pair
     for epoch in range(run.epochs):
         history.append((total, ld, lp))
         q = grad.copy()
         alphas = []
-        for s, y in zip(reversed(s_hist), reversed(y_hist)):
-            rho = 1.0 / (y @ s)
+        for s, y, rho in reversed(pairs):
             a = rho * (s @ q)
-            alphas.append((a, rho, s, y))
+            alphas.append(a)
             q -= a * y
-        if y_hist:
-            s, y = s_hist[-1], y_hist[-1]
-            q *= (s @ y) / (y @ y)
-        for a, rho, s, y in reversed(alphas):
+        if pairs:
+            q *= gamma
+        for a, (s, y, rho) in zip(reversed(alphas), pairs):
             b = rho * (y @ q)
             q += (a - b) * s
         direction = -q
@@ -253,7 +239,7 @@ def _run_lbfgs(net, run, evaluate, history):
         if slope >= 0:   # not a descent direction; restart from steepest descent
             direction = -grad
             slope = -(grad @ grad)
-            s_hist, y_hist = [], []
+            pairs = []
         step = 1.0
         accepted = False
         for _ in range(30):
@@ -269,12 +255,12 @@ def _run_lbfgs(net, run, evaluate, history):
             break
         s_vec = step * direction
         y_vec = new_grad - grad
-        if s_vec @ y_vec > 1e-12:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            if len(s_hist) > LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
+        sy = s_vec @ y_vec
+        if sy > 1e-12:
+            pairs.append((s_vec, y_vec, 1.0 / (y_vec @ s_vec)))
+            gamma = sy / (y_vec @ y_vec)
+            if len(pairs) > LBFGS_MEMORY:
+                pairs.pop(0)
         theta = theta + s_vec
         total, ld, lp, grad = new_total, new_ld, new_lp, new_grad
         if not np.all(np.isfinite(grad)):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -46,7 +47,7 @@ def quick_decay_net():
     """A briefly trained 1D net: cheap, but a genuine PINN for property tests."""
     problem = decay_1d()
     net = init_network([1, 4, 4, 1], seed=0, meta={"inputs": ["t"]})
-    train(net, problem, anchor_dataset(problem, [[2.0]]),
+    train(net, problem, anchor_dataset([[2.0]]),
           sample_collocation(problem, 100, 0), TrainingRun(epochs=600, seed=0))
     return net
 
@@ -739,6 +740,36 @@ def test_actual_error_single_pass_matches_per_time_oracle():
 def test_actual_error_rejects_bad_step(h):
     with pytest.raises(ConfigurationError):
         actual_error(_pendulum_net(), inverted_pendulum(), np.zeros(4), [0.0], [0.05], h=h)
+
+
+@pytest.mark.parametrize("case", ["x0 too long", "u on decay1d", "u rows on decay1d",
+                                  "pendulum without u", "pendulum u as a scalar",
+                                  "one u for pendulum rows", "u rows miscounted", "x0 as a block"])
+def test_actual_error_checks_x0_and_u_shapes(case, quick_decay_net):
+    pendulum, rows = _pendulum_net(), np.zeros((3, 4))
+    net, problem, x0, u = {
+        "x0 too long": (quick_decay_net, decay_1d(), [2.0, 5.0], ()),
+        "u on decay1d": (quick_decay_net, decay_1d(), [2.0], [3.0]),
+        "u rows on decay1d": (quick_decay_net, decay_1d(), [[2.0], [1.0]], [[3.0], [3.0]]),
+        "pendulum without u": (pendulum, inverted_pendulum(), rows[0], ()),
+        "pendulum u as a scalar": (pendulum, inverted_pendulum(), rows[0], 1.0),
+        "one u for pendulum rows": (pendulum, inverted_pendulum(), rows, [1.0]),
+        "u rows miscounted": (pendulum, inverted_pendulum(), rows, np.ones((2, 1))),
+        "x0 as a block": (pendulum, inverted_pendulum(), rows[None], np.ones((1, 3, 1))),
+    }[case]
+    shapes = rf"got shapes {re.escape(str(np.shape(x0)))} and {re.escape(str(np.shape(u)))}"
+    with pytest.raises(ConfigurationError, match=shapes):
+        actual_error(net, problem, x0, u, [0.0, 0.05])
+
+
+def test_actual_error_takes_an_empty_u_on_a_problem_without_controls(quick_decay_net):
+    problem, t = decay_1d(), [0.0, 0.5]
+    single = actual_error(quick_decay_net, problem, [2.0], (), t)
+    np.testing.assert_array_equal(actual_error(quick_decay_net, problem, [2.0], np.zeros(0), t),
+                                  single)
+    for u in ((), np.zeros((2, 0))):
+        np.testing.assert_array_equal(
+            actual_error(quick_decay_net, problem, [[2.0], [2.0]], u, t), [single, single])
 
 
 def test_certify_with_reference_makes_one_batched_pass(tmp_path, monkeypatch):

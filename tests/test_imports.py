@@ -50,6 +50,19 @@ def test_intra_package_import_graph_is_acyclic():
     assert set(order) == MODULES
 
 
+def test_training_and_the_error_fit_take_gradients_from_parameter_gradient():
+    # one reverse route: the sweep and the kernels' pulls run inside
+    # network.parameter_gradient, never through autodiff.backward directly
+    for name in ("train", "surrogate"):
+        tree = _parse(name)
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "autodiff" for alias in node.names}
+        called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert "backward" not in imported, name
+        assert not {"backward", "autodiff.backward"} & called, name
+        assert "parameter_gradient" in called, name
+
+
 def test_reference_solves_do_not_load_scipy_integrate(tmp_path):
     # scipy.integrate alone would add about 50 MB to a process's peak RSS
     code = """if True:

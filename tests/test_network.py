@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from pinncert.autodiff import ACTIVATIONS, Dual, Tape, UsageError
-from pinncert.network import (Network, ShapeError, _forward_any, flatten_params,
+from pinncert.network import (MlpJet, Network, ShapeError, _forward_any, flatten_params,
                               forward, forward_on_tape, init_network,
                               input_jacobian, load_network, parameter_gradient,
                               save_network, set_params)
@@ -204,6 +206,133 @@ def test_gradient_on_unrecorded_scalar_raises():
     loss = tape.var(1.0)
     with pytest.raises(UsageError):
         parameter_gradient(net, loss)   # net never bound on this tape
+
+
+# -- kernels recorded on a tape --------------------------------------------
+
+def _column_loss(ys, yds=None):
+    """A loss on the output columns ``ys`` (and their d/dt ``yds``)."""
+    total = 0.0
+    for i, y in enumerate(ys):
+        r = y * y - 0.5 * y if yds is None else yds[i] + 0.3 * y * y
+        total = total + (r * r).mean()
+    return total
+
+
+def _kernel_case(activation, form, seed=3):
+    net = init_network([6, 8, 8, 4], activation, seed=seed)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(9, 6))
+    e_t = np.zeros_like(x)
+    e_t[:, 0] = 1.0
+    tangent = e_t if form == "tangent" else None
+    return net, x, tangent
+
+
+def _bound_gradient(net, x, tangent):
+    """The oracle: the weights bound on the tape by ``forward``."""
+    tape = Tape()
+    if tangent is None:
+        out = forward(net, x, tape)
+        loss = _column_loss([out[:, i] for i in range(net.n_out)])
+    else:
+        out = forward(net, Dual(x, tangent), tape)
+        loss = _column_loss([out.value[:, i] for i in range(net.n_out)],
+                            [out.derivative[:, i] for i in range(net.n_out)])
+    return parameter_gradient(net, loss)
+
+
+def _recorded_gradient(net, x, tangent, form):
+    tape = Tape()
+    jet = MlpJet(net, x, tangent)
+    y, yd = jet.forward()
+    if form == "one_leaf":
+        leaf = tape.var(y)
+        jet.record(tape, leaf)
+        loss = _column_loss([leaf[:, i] for i in range(net.n_out)])
+    else:
+        cols = [tape.var(y[:, i]) for i in range(net.n_out)]
+        dots = None if yd is None else [tape.var(yd[:, i]) for i in range(net.n_out)]
+        jet.record(tape, cols, dots)
+        loss = _column_loss(cols, dots)
+    return parameter_gradient(net, loss)
+
+
+@pytest.mark.parametrize("form", ["one_leaf", "columns", "tangent"])
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_recorded_kernel_gradient_equals_the_bound_weights(activation, form):
+    net, x, tangent = _kernel_case(activation, form)
+    got, want = _recorded_gradient(net, x, tangent, form), _bound_gradient(net, x, tangent)
+    if activation == "tanh":
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_two_kernels_on_one_tape_sum_their_gradients():
+    net, x, e_t = _kernel_case("tanh", "tangent")
+    plain, taped = MlpJet(net, x[:4]), MlpJet(net, x, e_t)
+
+    def grad(jets):
+        tape, loss = Tape(), 0.0
+        for jet in jets:
+            y, yd = jet.forward()
+            cols = [tape.var(y[:, i]) for i in range(net.n_out)]
+            dots = None if yd is None else [tape.var(yd[:, i]) for i in range(net.n_out)]
+            jet.record(tape, cols, dots)
+            loss = loss + _column_loss(cols, dots)
+        return parameter_gradient(net, loss)
+
+    np.testing.assert_array_equal(grad([plain, taped]), grad([plain]) + grad([taped]))
+    # a kernel recorded on the tape of a forward binding adds onto the binding's gradient
+    tape = Tape()
+    y = tape.var(plain.forward()[0])
+    plain.record(tape, y)
+    out = forward(net, x[4:], tape)
+    loss = _column_loss([y[:, i] for i in range(4)]) + _column_loss([out[:, i] for i in range(4)])
+    np.testing.assert_allclose(parameter_gradient(net, loss),
+                               grad([plain]) + _bound_gradient(net, x[4:], None),
+                               rtol=1e-13, atol=1e-15)
+
+
+def test_recording_misuse_raises_usage_error():
+    net, x, e_t = _kernel_case("tanh", "tangent")
+    plain, taped = MlpJet(net, x), MlpJet(net, x, e_t)
+    tape, other = Tape(), Tape()
+    y = plain.forward()[0]
+    with pytest.raises(UsageError, match="no d/dt"):
+        plain.record(tape, tape.var(y), tape.var(y))
+    with pytest.raises(UsageError, match="leaves"):
+        plain.record(tape, other.var(y))                # a leaf of another tape
+    with pytest.raises(UsageError, match="leaves"):
+        plain.record(tape, tape.var(y) * 2.0)           # not a leaf
+    with pytest.raises(UsageError, match="leaves"):
+        taped.record(tape, [tape.var(y[:, i]) for i in range(4)], [y[:, 0]])   # not a Var
+    # a block of another shape fails in the kernel's reverse
+    for pick in (lambda t: t.var(y[:, :3]), lambda t: t.var(y[:5]),
+                 lambda t: [t.var(y[:, i]) for i in range(3)]):
+        sweep = Tape()
+        leaves = pick(sweep)
+        plain.record(sweep, leaves)
+        cols = leaves if isinstance(leaves, list) else [leaves]
+        with pytest.raises(ValueError, match="mismatch"):
+            parameter_gradient(net, sum((col * 1.0).sum() for col in cols))
+    # a kernel of another network does not bind this one
+    stranger = init_network([6, 8, 8, 4], seed=4)
+    leaf = tape.var(y)
+    MlpJet(stranger, x).record(tape, leaf)
+    loss = (leaf * 1.0).sum()
+    with pytest.raises(UsageError, match="never bound"):
+        parameter_gradient(net, loss)
+
+
+def test_set_params_rejects_a_wrong_length_vector():
+    net = init_network([2, 3, 1], seed=0)
+    theta = flatten_params(net)
+    for bad in (np.append(theta, 1.0), theta[:-1], theta.reshape(1, -1)):
+        with pytest.raises(ShapeError, match=re.escape(f"shape {bad.shape} for a network "
+                                                       f"of {len(theta)} parameters")):
+            set_params(net, bad)
+    np.testing.assert_array_equal(flatten_params(net), theta)     # nothing was written
 
 
 @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))

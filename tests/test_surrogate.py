@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pinncert import network, surrogate
+from pinncert.autodiff import Tape
 from pinncert.certify import Certifier, CertifyConfig, bound
-from pinncert.network import init_network
+from pinncert.network import assemble_inputs, forward, init_network, parameter_gradient
 from pinncert.ode import ConfigurationError, PointSet, decay_1d
 from pinncert.surrogate import (asymmetric_loss,
                                 evaluate_error_net, export_surrogate_dataset,
                                 generate_surrogate_data, load_surrogate_dataset,
                                 train_error_net)
-from pinncert.train import TrainingRun, anchor_dataset, sample_collocation, train
+from pinncert.train import TrainingRun, anchor_dataset, optimize, sample_collocation, train
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -18,7 +20,7 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 def quick_decay_net():
     problem = decay_1d()
     net = init_network([1, 4, 4, 1], seed=0, meta={"inputs": ["t"]})
-    train(net, problem, anchor_dataset(problem, [[2.0]]),
+    train(net, problem, anchor_dataset([[2.0]]),
           sample_collocation(problem, 100, 0), TrainingRun(epochs=600, seed=0))
     return net
 
@@ -128,6 +130,56 @@ def test_under_weight_raises_overestimation_fraction():
                                   np.zeros((100, 0)))
         fracs.append(float(np.mean(pred >= holdout_y)))
     assert fracs[1] > fracs[0]
+
+
+def _pendulum_shaped_dataset(n=50, seed=4):
+    rng = np.random.default_rng(seed)
+    return PointSet(t=rng.uniform(0.0, 0.08, n), x0=rng.uniform(-0.5, 0.5, (n, 4)),
+                    u=rng.uniform(-5.0, 5.0, (n, 1)), target=rng.lognormal(size=n))
+
+
+def _taped_fit(dataset, fitted, run, under_weight):
+    """The fit with the network on the general tape: ``forward(net, X, Tape())``."""
+    net = init_network(fitted.layer_dims, activation="tanh", seed=run.seed,
+                       meta=dict(fitted.meta))
+    X = assemble_inputs(net.meta["inputs"], dataset.t, dataset.x0, dataset.u)
+
+    def evaluate():
+        pred = forward(net, X, Tape())[:, 0]
+        loss = asymmetric_loss(pred, dataset.target, under_weight)
+        return float(loss.value), float(loss.value), 0.0, parameter_gradient(net, loss)
+
+    optimize(net, run, evaluate)
+    return net
+
+
+@pytest.mark.parametrize("arch", [[4, 4], [32, 32]])
+@pytest.mark.parametrize("make", [_toy_dataset, _pendulum_shaped_dataset],
+                         ids=["decay1d", "pendulum"])
+def test_error_net_fit_equals_the_taped_fit_bit_for_bit(make, arch):
+    ds = make()
+    run = lambda: TrainingRun(epochs=50, optimizer="lbfgs", seed=1)
+    fitted = train_error_net(ds, arch, run(), under_weight=1000.0)
+    oracle = _taped_fit(ds, fitted, run(), 1000.0)
+    for a, b in zip(fitted.weights + fitted.biases, oracle.weights + oracle.biases):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_error_net_fit_calls_parameter_gradient_once_per_evaluation(monkeypatch):
+    # each loss evaluation of the fit goes through the module attribute
+    # ``parameter_gradient``, the function ``network`` defines
+    assert surrogate.parameter_gradient is network.parameter_gradient
+    grads, evals = [], []
+    real_grad, real_optimize = surrogate.parameter_gradient, surrogate.optimize
+
+    def counting_optimize(net, run, evaluate):
+        return real_optimize(net, run, lambda: evals.append(1) or evaluate())
+
+    monkeypatch.setattr(surrogate, "parameter_gradient",
+                        lambda net, loss: grads.append(1) or real_grad(net, loss))
+    monkeypatch.setattr(surrogate, "optimize", counting_optimize)
+    train_error_net(_toy_dataset(), [4, 4], TrainingRun(epochs=20, optimizer="lbfgs"))
+    assert len(grads) == len(evals) > 20
 
 
 def test_error_net_without_input_metadata_is_a_configuration_error():

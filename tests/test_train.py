@@ -9,10 +9,10 @@ from pinncert.config import preset_config
 from pinncert.network import (MlpJet, Network, flatten_params, forward, init_network,
                               parameter_gradient, set_params)
 from pinncert.ode import Box, ConfigurationError, OdeProblem, PointSet, decay_1d
-from pinncert.train import (DivergenceError, TrainingRun, _loss_and_grad, adam_step,
-                            anchor_dataset, assemble_inputs, eta_weights, export_loss_history,
-                            infer_layout, loss_data, loss_physics, optimize,
-                            sample_collocation, train)
+from pinncert.train import (DivergenceError, TrainingRun, _loss_and_grad, _training_jets,
+                            adam_step, anchor_dataset, assemble_inputs, eta_weights,
+                            export_loss_history, infer_layout, loss_data, loss_physics,
+                            optimize, sample_collocation, train)
 
 
 def linear_time_net(slope, intercept):
@@ -54,7 +54,7 @@ def test_sampling_count_validated():
 
 def test_loss_data_zero_when_exact():
     net = linear_time_net(0.0, 2.0)
-    ds = anchor_dataset(decay_1d(), [[2.0]])
+    ds = anchor_dataset([[2.0]])
     assert loss_data(net, ds, decay_1d()) == 0.0
 
 
@@ -148,7 +148,7 @@ def test_zero_epochs_leaves_network_unchanged():
     net = init_network([1, 4, 1], seed=3, meta={"inputs": ["t"]})
     before = flatten_params(net).copy()
     run = TrainingRun(epochs=0)
-    _, history = train(net, problem, anchor_dataset(problem, [[2.0]]),
+    _, history = train(net, problem, anchor_dataset([[2.0]]),
                        sample_collocation(problem, 20, 0), run)
     assert history == []
     np.testing.assert_array_equal(flatten_params(net), before)
@@ -158,7 +158,7 @@ def test_training_reduces_loss_and_records_finite_history():
     problem = decay_1d()
     net = init_network([1, 4, 1], seed=3, meta={"inputs": ["t"]})
     run = TrainingRun(epochs=200, seed=3)
-    _, history = train(net, problem, anchor_dataset(problem, [[2.0]]),
+    _, history = train(net, problem, anchor_dataset([[2.0]]),
                        sample_collocation(problem, 50, 3), run)
     assert len(history) == 200
     totals = np.array([h[0] for h in history])
@@ -171,7 +171,7 @@ def test_training_deterministic_per_seed():
     nets = []
     for _ in range(2):
         net = init_network([1, 4, 1], seed=5, meta={"inputs": ["t"]})
-        train(net, problem, anchor_dataset(problem, [[2.0]]),
+        train(net, problem, anchor_dataset([[2.0]]),
               sample_collocation(problem, 30, 5), TrainingRun(epochs=50, seed=5))
         nets.append(flatten_params(net).copy())
     np.testing.assert_array_equal(nets[0], nets[1])
@@ -181,10 +181,64 @@ def test_lbfgs_reduces_loss():
     problem = decay_1d()
     net = init_network([1, 4, 1], seed=1, meta={"inputs": ["t"]})
     run = TrainingRun(epochs=60, optimizer="lbfgs")
-    _, history = train(net, problem, anchor_dataset(problem, [[2.0]]),
+    _, history = train(net, problem, anchor_dataset([[2.0]]),
                        sample_collocation(problem, 30, 1), run)
     assert history[-1][0] < history[0][0]
     assert len(history) == 60
+
+
+def _textbook_lbfgs(net, epochs, evaluate, memory=10):
+    """L-BFGS with rho and the initial scale recomputed from the stored
+    pairs at every epoch; the oracle for ``train._run_lbfgs``'s bookkeeping."""
+    theta = flatten_params(net)
+    total, _, _, grad = evaluate()
+    s_hist, y_hist = [], []
+    for _ in range(epochs):
+        q = grad.copy()
+        alphas = []
+        for s, y in zip(reversed(s_hist), reversed(y_hist)):
+            rho = 1.0 / (y @ s)
+            a = rho * (s @ q)
+            alphas.append((a, rho, s, y))
+            q -= a * y
+        if y_hist:
+            q *= (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
+        for a, rho, s, y in reversed(alphas):
+            q += (a - rho * (y @ q)) * s
+        direction, slope = -q, grad @ -q
+        if slope >= 0:
+            direction, slope, s_hist, y_hist = -grad, -(grad @ grad), [], []
+        for step in 0.5 ** np.arange(30):
+            set_params(net, theta + step * direction)
+            new_total, _, _, new_grad = evaluate()
+            if np.isfinite(new_total) and new_total <= total + 1e-4 * step * slope:
+                break
+        else:
+            set_params(net, theta)
+            return
+        s_vec, y_vec = step * direction, new_grad - grad
+        if s_vec @ y_vec > 1e-12:
+            s_hist, y_hist = (s_hist + [s_vec])[-memory:], (y_hist + [y_vec])[-memory:]
+        theta, total, grad = theta + s_vec, new_total, new_grad
+
+
+def test_lbfgs_equals_the_textbook_recursion_bit_for_bit():
+    nets = []
+    for textbook in (False, True):
+        net, problem, dataset, colloc, run = _preset_problem(
+            "decay1d", colloc_count=40, epochs=120, optimizer="lbfgs")
+        layout, eta_w = infer_layout(net, problem), eta_weights(run.eta, colloc.t)
+        jets = _training_jets(net, layout, dataset, colloc, run)
+
+        def evaluate():
+            return _loss_and_grad(net, problem, dataset, colloc, run, layout, eta_w, jets)
+
+        if textbook:
+            _textbook_lbfgs(net, run.epochs, evaluate)
+        else:
+            optimize(net, run, evaluate)
+        nets.append(flatten_params(net))
+    np.testing.assert_array_equal(*nets)
 
 
 def test_supervised_regression_fits_decay_curve():
@@ -201,7 +255,7 @@ def test_supervised_regression_fits_decay_curve():
 def test_total_loss_gradient_matches_finite_differences():
     problem = decay_1d()
     net = init_network([1, 4, 1], seed=6, meta={"inputs": ["t"]})
-    ds = anchor_dataset(problem, [[2.0]])
+    ds = anchor_dataset([[2.0]])
     colloc = sample_collocation(problem, 5, 6)
     run = TrainingRun()
     layout = infer_layout(net, problem)
