@@ -8,10 +8,11 @@ shape when the operation broadcast it.  ``backward`` reads the rows; it
 sums an adjoint down to its operand's shape only where that was recorded.
 Operations are vectorized over a batch axis so a full-batch training step
 costs a few hundred numpy calls, not millions of scalar node allocations.
+A network enters a tape only as a kernel recorded behind its output leaves.
 
 Forward mode: ``Dual`` carries (value, tangent) pairs through the same
-arithmetic.  The components of a ``Dual`` may themselves be ``Var``s; the
-tests build that form as a taped oracle for the training kernel's gradients.
+arithmetic.  The components of a ``Dual`` may themselves be ``Var``s: the
+tests' reference for the kernel's gradients, on weights bound by hand.
 
 Both modes read one table of elementary derivatives: each of ``exp``,
 ``sin``, ``cos``, ``tanh`` and ``erf`` is declared once, as its array
@@ -75,12 +76,11 @@ def _spread(g, a, b):
 
 class Tape:
     """Recording of elementary operations for one reverse sweep, with the
-    network weights bound as its leaves and the network kernels recorded
-    behind some of its leaves (``network.forward``, ``MlpJet.record``)."""
+    network kernels recorded behind some of its leaves (``MlpJet.record``,
+    which a taped ``network.forward`` calls)."""
 
     def __init__(self):
         self.nodes = []
-        self._bindings = {}
         self._kernels = []
 
     def var(self, value):

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import Dual
 from .network import Network, assemble_inputs, forward, infer_layout, time_tangent
 from .ode import (REFERENCE_STEP, ConfigurationError, NumericError, OdeProblem, PointSet,
-                  sample_collocation, solve_reference)
+                  require_int, sample_collocation, solve_reference)
 from .table import write_table
 
 
@@ -188,8 +188,7 @@ def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FA
     with a non-finite second difference raises
     :class:`DegenerateSmoothingError`.
     """
-    if grid_points < 10:
-        raise ConfigurationError("grid_points must be >= 10")
+    require_int("grid_points", grid_points, 10)
     if t_end == 0.0:
         return 0.0
     s = np.linspace(0.0, t_end, grid_points + 1)
@@ -223,8 +222,7 @@ def trapezoid_bound_integral(delta, L, t, n, K):
     e_int whenever K truly bounds the damped integrand's second derivative.
     The remainder prefactor max(1, e^{Lt}) equals e^{Lt} for L >= 0.
     """
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
+    require_int("n", n, 1)
     if t == 0.0:
         return 0.0, 0.0
     s = np.linspace(0.0, t, n + 1)
@@ -299,10 +297,12 @@ class CertifyConfig:
             raise ConfigurationError(f"mu must be None or finite and >= 0, got {self.mu}")
         if self.L is not None and not 0 <= self.L < math.inf:
             raise ConfigurationError(f"L override must be finite and >= 0, got {self.L}")
-        if not (self.eps > 0 and self.K_grid >= 10 and self.safety_factor >= 1):
-            raise ConfigurationError("need eps > 0, K_grid >= 10 and safety_factor >= 1")
-        if self.n is not None and not (isinstance(self.n, int) and self.n >= 1):
-            raise ConfigurationError(f"n must be None or an int >= 1, got {self.n!r}")
+        if not (self.eps > 0 and self.safety_factor >= 1):
+            raise ConfigurationError("need eps > 0 and safety_factor >= 1")
+        for key, minimum in (("K_grid", 10), ("colloc_count", 1), ("colloc_seed", 0)):
+            require_int(key, getattr(self, key), minimum)
+        if self.n is not None:
+            require_int("n", self.n, 1)
 
 
 class Certifier:

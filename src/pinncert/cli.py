@@ -17,7 +17,7 @@ from . import presets, surrogate
 from .config import (ExperimentConfig, certify_config, load_config, preset_config, save_config,
                      surrogate_run)
 from .network import load_network, save_network
-from .ode import ConfigurationError, NumericError, sample_collocation
+from .ode import ConfigurationError, NumericError, require_int, sample_collocation
 from .table import point_columns, read_table, write_table
 from .train import export_loss_history
 
@@ -85,9 +85,7 @@ def cmd_certify(args):
     if not 1 <= args.intervals <= presets.SCHEDULE_INTERVALS:
         raise ConfigurationError(f"--intervals must be in 1..{presets.SCHEDULE_INTERVALS}, "
                                  f"got {args.intervals}")
-    if args.times_per_interval < 1:
-        raise ConfigurationError(f"--times-per-interval must be >= 1, "
-                                 f"got {args.times_per_interval}")
+    require_int("--times-per-interval", args.times_per_interval, 1)
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
     problem = presets.build_problem(cfg)

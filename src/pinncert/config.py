@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .autodiff import ACTIVATIONS
 from .certify import CertifyConfig
-from .ode import ConfigurationError
+from .ode import ConfigurationError, require_int
 from .train import TrainingRun
 
 PRESETS = ("decay1d", "pendulum")
@@ -59,10 +59,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown preset {self.preset!r}")
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
+        require_int("seed", self.seed, 0)
         for key in ("colloc_count", "data_count", "cert_colloc_count", "query_points",
                     "surr_count", "surr_holdout"):
-            if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+            require_int(key, getattr(self, key), 1)
         if not 1 <= self.surr_under_weight < math.inf:
             raise ConfigurationError(f"surr_under_weight must be finite and >= 1, "
                                      f"got {self.surr_under_weight}")

@@ -117,26 +117,31 @@ def _forward_any(weights, biases, activation, x):
 def forward(net: Network, x, tape: Tape = None):
     """Evaluate the network on an input vector or a batch of rows.
 
-    ``x`` is an array or a ``Dual`` of arrays.  With a ``tape`` the weights
-    are that tape's leaves, bound once per tape, so the output is
-    differentiable via :func:`parameter_gradient`.
+    ``x`` is an array or a ``Dual`` of arrays.  With a ``tape`` a fresh
+    :class:`MlpJet` evaluates the rows, with the ``Dual``'s derivative as its
+    tangent, and the output is tape leaves with that kernel recorded behind
+    them, so it is differentiable via :func:`parameter_gradient`.
     """
-    if not isinstance(x, Dual):
+    dual = isinstance(x, Dual)
+    if tape is not None and (isinstance(x, Var) or dual and (isinstance(x.value, Var)
+                                                             or isinstance(x.derivative, Var))):
+        raise UsageError("a taped forward takes array inputs, not taped values")
+    if not dual:
         x = np.asarray(x, dtype=float)
-    width = np.shape(x.value if isinstance(x, Dual) else x)[-1]
-    if width != net.n_in:
-        raise ShapeError(f"input width {width} != expected {net.n_in}")
-    weights, biases = net.weights, net.biases
-    if tape is not None:
-        if id(net) not in tape._bindings:
-            tape._bindings[id(net)] = ([tape.var(w) for w in weights],
-                                       [tape.var(b) for b in biases])
-        weights, biases = tape._bindings[id(net)]
-    return _forward_any(weights, biases, net.activation, x)
+    shape = np.shape(x.value) if dual else x.shape
+    if shape[-1:] != (net.n_in,):
+        raise ShapeError(f"input of shape {shape} does not have the width {net.n_in}")
+    if tape is None:
+        return _forward_any(net.weights, net.biases, net.activation, x)
+    rows = np.atleast_2d(x.value if dual else x)
+    jet = MlpJet(net, rows, np.broadcast_to(x.derivative, rows.shape) if dual else None)
+    leaves = [y if y is None else tape.var(y.reshape(*shape[:-1], -1)) for y in jet.forward()]
+    jet.record(tape, *leaves)
+    return Dual(*leaves) if dual else leaves[0]
 
 
 def forward_on_tape(tape: Tape, net: Network, x):
-    """:func:`forward` with the weights bound on ``tape``."""
+    """:func:`forward` recorded on ``tape``."""
     return forward(net, x, tape)
 
 
@@ -183,10 +188,11 @@ class MlpJet:
     into the flat parameter gradient, on plain arrays.
 
     Built once per input set: every buffer is allocated here and refilled by
-    each :meth:`forward` / :meth:`backward`, which read the network's
-    current weights.  Without a ``tangent`` only the value is carried.  A
-    loss built on tape leaves holding the outputs reaches the weights
-    through :meth:`record` and :func:`parameter_gradient`.
+    each :meth:`forward`, which reads the network's current weights, and
+    :meth:`backward`, which differentiates that evaluation with the weights
+    it used.  Without a ``tangent`` only the value is carried.  A loss built
+    on tape leaves holding the outputs reaches the weights through
+    :meth:`record` and :func:`parameter_gradient`.
     """
 
     def __init__(self, net: Network, x, tangent=None):
@@ -224,8 +230,9 @@ class MlpJet:
         """(value, d/dt) of the output rows; d/dt is None without a tangent.
         Both are views of buffers that the next call overwrites."""
         net, last = self.net, len(self.net.weights) - 1
+        self.weights = list(net.weights)    # set_params may replace them before backward
         h, hd = self.x, self.tangent
-        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        for k, (w, b) in enumerate(zip(self.weights, net.biases)):
             z = self.value[k]
             np.matmul(h, w.T, out=z)
             if hd is not None:
@@ -263,10 +270,9 @@ class MlpJet:
         """Pull the output adjoints of the last :meth:`forward` back to the
         parameters, into the flat (W, b per layer) vector ``out``; with
         ``add`` onto what ``out`` holds."""
-        net = self.net
         gz, gzd = g_value, g_dot
-        for k in reversed(range(len(net.weights))):
-            w = net.weights[k]
+        for k in reversed(range(len(self.weights))):
+            w = self.weights[k]
             h = self.value[k - 1] if k else self.x
             np.matmul(h.T, gz, out=self.gwt[k])
             if gzd is not None:
@@ -313,53 +319,42 @@ class MlpJet:
 
 
 def input_jacobian(net: Network, x):
-    """n_out x n_in Jacobian via forward mode, one unit tangent per column."""
+    """n_out x n_in Jacobian in one forward-mode pass: one row of ``x`` per
+    input column, each with that column's unit tangent."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_in,):
         raise ShapeError(f"expected input vector of length {net.n_in}, got {x.shape}")
-    jac = np.empty((net.n_out, net.n_in))
-    for j in range(net.n_in):
-        seed = np.zeros(net.n_in)
-        seed[j] = 1.0
-        jac[:, j] = forward(net, Dual(x, seed)).derivative
-    return jac
+    return forward(net, Dual(np.tile(x, (net.n_in, 1)), np.eye(net.n_in))).derivative.T
 
 
 def parameter_gradient(net: Network, loss_scalar):
     """Flat d(loss)/d(all weights and biases), in layer order (W then b).
 
-    One reverse sweep from the loss reaches the weights that :func:`forward`
-    bound on its tape and the output leaves of each kernel recorded there
-    (:meth:`MlpJet.record`); every kernel pulls its leaves' adjoints back to
+    One reverse sweep from the loss reaches the output leaves of each kernel
+    of ``net`` recorded on its tape (by a taped :func:`forward` or by
+    :meth:`MlpJet.record`); every kernel pulls its leaves' adjoints back to
     the weights, added onto the contributions before it.
     """
     if not isinstance(loss_scalar, Var):
         raise UsageError("loss was not recorded on a tape")
-    tape = loss_scalar.tape
-    binding = tape._bindings.get(id(net))
-    kernels = [entry for entry in tape._kernels if entry[0].net is net]
-    if binding is None and not kernels:
-        raise UsageError("network parameters were never bound on this tape")
+    kernels = [entry for entry in loss_scalar.tape._kernels if entry[0].net is net]
+    if not kernels:
+        raise UsageError("the network was never recorded on the loss's tape")
     adjoints = backward(loss_scalar)
-    if binding is None:
-        grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases)))
-    else:
-        grad = np.concatenate([np.ravel(_adjoint(adjoints, leaf))
-                               for pair in zip(*binding) for leaf in pair])
+    grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases)))
     for k, (jet, value, dot) in enumerate(kernels):
-        jet.backward(_adjoint(adjoints, value), _adjoint(adjoints, dot), out=grad,
-                     add=binding is not None or k > 0)
+        jet.backward(_adjoint(adjoints, value), _adjoint(adjoints, dot), out=grad, add=k > 0)
     return grad
 
 
 def _adjoint(adjoints, leaves):
-    """The adjoint of a leaf (zeros where the sweep never reached it); for a
-    list of column leaves, their adjoints side by side; None for None."""
+    """The adjoint of a leaf as rows, a 1-D leaf's as one (zeros where the sweep
+    never reached it); of a list of column leaves, side by side; None for None."""
     if leaves is None:
         return None
     if isinstance(leaves, Var):
         g = adjoints.get(id(leaves))
-        return np.zeros_like(leaves.value) if g is None else g
+        return np.atleast_2d(np.zeros_like(leaves.value) if g is None else g)
     block = np.empty((len(leaves[0].value), len(leaves)))
     for i, leaf in enumerate(leaves):
         block[:, i] = adjoints.get(id(leaf), 0.0)

@@ -48,6 +48,12 @@ class ConfigurationError(ValueError):
     pass
 
 
+def require_int(key, value, minimum):
+    """Raise ConfigurationError naming ``key`` unless ``value`` is an int >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigurationError(f"{key} must be an int >= {minimum}, got {value!r}")
+
+
 @dataclass
 class Box:
     """Sampling domain: time range, per-coordinate x0 ranges, u ranges."""
@@ -110,8 +116,7 @@ class PointSet:
 
 def sample_collocation(problem: OdeProblem, count, seed) -> PointSet:
     """Uniform i.i.d. samples of (t, x0[, u]) over the problem's domain box."""
-    if count < 1:
-        raise ConfigurationError("count must be >= 1")
+    require_int("count", count, 1)
     box = problem.box
     if box is None or not box.x0:
         raise ConfigurationError("problem has no sampling domain box")

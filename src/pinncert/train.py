@@ -16,7 +16,8 @@ from .certify import residual_batch_columns, residual_columns
 from .network import (MlpJet, Network, assemble_inputs, flatten_params, forward,
                       infer_layout, parameter_gradient, set_params, time_tangent)
 # sample_collocation is not used here: it is re-exported for callers of this module
-from .ode import ConfigurationError, NumericError, OdeProblem, PointSet, sample_collocation
+from .ode import (ConfigurationError, NumericError, OdeProblem, PointSet, require_int,
+                  sample_collocation)
 from .table import write_table
 
 
@@ -48,8 +49,8 @@ class TrainingRun:
             raise ConfigurationError("at least one loss weight must be positive")
         if self.optimizer not in ("adam", "lbfgs"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if self.epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        require_int("epochs", self.epochs, 0)
+        require_int("seed", self.seed, 0)
         if not 0 < self.lr < math.inf:
             raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
 

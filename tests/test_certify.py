@@ -124,6 +124,12 @@ def test_certifier_mu_policies():
     {"safety_factor": 0.5},         # K below the sampled second difference
     {"eps": -1.0, "n": 8},          # eps is checked even when n makes it unused
     {"n": 0},
+    {"n": 4.0},
+    {"K_grid": 200.0},              # counts and seeds that are not ints used to fail in numpy
+    {"K_grid": True},
+    {"colloc_count": 10.0},
+    {"colloc_seed": 1.5},
+    {"colloc_seed": -1},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_certifier_rejects_invalid_config(overrides):
     with pytest.raises(ConfigurationError):

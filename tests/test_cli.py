@@ -59,6 +59,24 @@ def test_config_rejects_unknown_preset():
         ExperimentConfig(preset="pde").validate()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", -1, "seed must be an int >= 0, got -1"),
+    ("seed", 1.5, "seed must be an int >= 0, got 1.5"),
+    ("cert_colloc_count", 10.0, "cert_colloc_count must be an int >= 1, got 10.0"),
+    ("query_points", True, "query_points must be an int >= 1, got True"),
+    ("epochs", 2.0, "[training] epochs must be an int >= 0, got 2.0"),
+    ("surr_epochs", 2.0, "[surrogate] epochs must be an int >= 0, got 2.0"),
+    ("K_grid", 200.0, "[certify] K_grid must be an int >= 10, got 200.0"),
+])
+def test_config_requires_int_counts_and_seeds_naming_the_key(key, value, message):
+    # each passed validation and then failed inside numpy, naming no key
+    cfg = preset_config("decay1d")
+    setattr(cfg, key, value)
+    with pytest.raises(ConfigurationError) as exc:
+        cfg.validate()
+    assert str(exc.value) == message
+
+
 def test_train_creates_missing_output_dir(tmp_path):
     path, cfg = tiny_decay_config(tmp_path)
     assert main(["train", "--config", str(path)]) == 0
@@ -239,6 +257,7 @@ def test_invalid_config_value_exits_2(tmp_path):
     {"hidden": []},
     {"hidden": [4, 0]},
     {"surr_hidden": [-1]},
+    {"seed": -1},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_config_values_exit_2_at_load(tmp_path, overrides):
     path, cfg = tiny_decay_config(tmp_path, epochs=0, **overrides)

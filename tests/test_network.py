@@ -7,7 +7,8 @@ from pinncert.autodiff import ACTIVATIONS, Dual, Tape, UsageError
 from pinncert.network import (MlpJet, Network, ShapeError, _forward_any, flatten_params,
                               forward, forward_on_tape, init_network,
                               input_jacobian, load_network, parameter_gradient,
-                              save_network, set_params)
+                              save_network, set_params, time_tangent)
+from tape_reference import BoundWeights
 
 
 def reference_forward(net, x):
@@ -167,35 +168,94 @@ def test_forward_reverse_consistency_per_parameter():
 
 
 def test_taped_dual_forward_matches_explicit_leaves():
-    # forward(net, Dual(X, e_t), tape) against the weights bound as tape leaves by hand
+    # forward(net, Dual(X, e_t), tape), the kernel, against the weights bound
+    # as tape leaves by hand
     net = init_network([6, 32, 32, 4], seed=3)
     X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(7, 6))
-    e_t = np.zeros_like(X)
-    e_t[:, 0] = 1.0
     results = []
     for via_forward in (True, False):
         tape = Tape()
-        if via_forward:
-            out = forward(net, Dual(X, e_t), tape)
-        else:
-            leaves = ([tape.var(w) for w in net.weights], [tape.var(b) for b in net.biases])
-            tape._bindings[id(net)] = leaves
-            out = _forward_any(*leaves, net.activation, Dual(X, e_t))
+        bound = None if via_forward else BoundWeights(net, tape)
+        out = (forward(net, Dual(X, time_tangent(X)), tape) if via_forward
+               else bound.forward(Dual(X, time_tangent(X))))
         loss = ((out.value * out.derivative) ** 2).sum()
         results.append((out.value.value, out.derivative.value,
-                        parameter_gradient(net, loss)))
+                        parameter_gradient(net, loss) if via_forward else bound.gradient(loss)))
     for a, b in zip(*results):
         np.testing.assert_array_equal(a, b)
 
 
-def test_forward_checks_width_on_dual_value_and_binds_once_per_tape():
+def test_forward_checks_width_on_dual_value_and_sums_taped_calls():
     net = init_network([2, 3, 1], seed=0)
     with pytest.raises(ShapeError):
         forward(net, Dual(np.zeros((4, 3)), np.zeros((4, 3))))
+    a, b = np.random.default_rng(1).uniform(-1.0, 1.0, size=(2, 4, 2))
+
+    def grad(*inputs):
+        tape = Tape()
+        return parameter_gradient(net, sum(((forward(net, x, tape) - 0.5) ** 2).sum()
+                                           for x in inputs))
+
+    np.testing.assert_array_equal(grad(a, b), grad(a) + grad(b))
     tape = Tape()
-    forward(net, np.zeros((4, 2)), tape)
-    forward(net, np.ones((4, 2)), tape)
-    assert sum(1 for node in tape.nodes if not node.parents) == 4    # 2 weights, 2 biases
+    bound = BoundWeights(net, tape)
+    want = bound.gradient(sum(((bound.forward(x) - 0.5) ** 2).sum() for x in (a, b)))
+    np.testing.assert_array_equal(grad(a, b), want)
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_taped_forward_of_a_vector_gives_a_vector(tangent):
+    # against the reference on the one-row batch, whose output row is taken
+    net = init_network([3, 5, 2], seed=4)
+    x, e_t = np.array([0.3, -0.7, 1.1]), np.array([1.0, 0.0, 0.0])
+    results = []
+    for via_forward in (True, False):
+        tape = Tape()
+        bound = None if via_forward else BoundWeights(net, tape)
+        v, d = (x, e_t) if via_forward else (x[None, :], e_t[None, :])
+        inputs = Dual(v, d) if tangent else v
+        out = forward(net, inputs, tape) if via_forward else bound.forward(inputs)[0]
+        y = out.value if tangent else out
+        loss = ((y - 0.2) ** 2).sum() + ((out.derivative * y).sum() if tangent else 0.0)
+        assert y.shape == (2,)
+        results.append(parameter_gradient(net, loss) if via_forward else bound.gradient(loss))
+    np.testing.assert_array_equal(*results)
+
+
+def test_set_params_after_a_taped_forward_keeps_the_recorded_gradient():
+    # parameter_gradient differentiates the recorded evaluation, with the
+    # weights it used, whatever the network holds by then
+    net = init_network([2, 5, 3], seed=6)
+    X = np.random.default_rng(6).uniform(-1.0, 1.0, size=(6, 2))
+    theta = flatten_params(net)
+
+    def loss_of(out):
+        return ((out.value * out.derivative) ** 2).sum()
+
+    tape = Tape()
+    bound = BoundWeights(net, tape)
+    want = bound.gradient(loss_of(bound.forward(Dual(X, time_tangent(X)))))
+    loss = loss_of(forward(net, Dual(X, time_tangent(X)), Tape()))
+    set_params(net, theta + 0.25)
+    np.testing.assert_array_equal(parameter_gradient(net, loss), want)
+
+
+def test_taped_forward_rejects_taped_inputs():
+    net = init_network([2, 3, 1], seed=0)
+    tape = Tape()
+    x = np.zeros((4, 2))
+    for taped in (tape.var(x), Dual(tape.var(x), x), Dual(x, tape.var(x))):
+        with pytest.raises(UsageError, match="taped"):
+            forward(net, taped, tape)
+    assert not tape._kernels
+
+
+def test_forward_rejects_a_0d_input_naming_the_width():
+    net = init_network([1, 3, 1], seed=0)
+    for x in (0.5, np.float64(0.5), Dual(0.5, 1.0)):
+        for tape in (None, Tape()):
+            with pytest.raises(ShapeError, match=r"shape \(\) does not have the width 1"):
+                forward(net, x, tape)
 
 
 def test_gradient_on_unrecorded_scalar_raises():
@@ -205,7 +265,7 @@ def test_gradient_on_unrecorded_scalar_raises():
     tape = Tape()
     loss = tape.var(1.0)
     with pytest.raises(UsageError):
-        parameter_gradient(net, loss)   # net never bound on this tape
+        parameter_gradient(net, loss)   # net never recorded on this tape
 
 
 # -- kernels recorded on a tape --------------------------------------------
@@ -229,16 +289,16 @@ def _kernel_case(activation, form, seed=3):
 
 
 def _bound_gradient(net, x, tangent):
-    """The oracle: the weights bound on the tape by ``forward``."""
-    tape = Tape()
+    """The oracle: the weights bound as tape leaves by hand."""
+    bound = BoundWeights(net, Tape())
     if tangent is None:
-        out = forward(net, x, tape)
+        out = bound.forward(x)
         loss = _column_loss([out[:, i] for i in range(net.n_out)])
     else:
-        out = forward(net, Dual(x, tangent), tape)
+        out = bound.forward(Dual(x, tangent))
         loss = _column_loss([out.value[:, i] for i in range(net.n_out)],
                             [out.derivative[:, i] for i in range(net.n_out)])
-    return parameter_gradient(net, loss)
+    return bound.gradient(loss)
 
 
 def _recorded_gradient(net, x, tangent, form):
@@ -283,7 +343,7 @@ def test_two_kernels_on_one_tape_sum_their_gradients():
         return parameter_gradient(net, loss)
 
     np.testing.assert_array_equal(grad([plain, taped]), grad([plain]) + grad([taped]))
-    # a kernel recorded on the tape of a forward binding adds onto the binding's gradient
+    # a kernel recorded by hand and the kernel of a taped forward on one tape sum too
     tape = Tape()
     y = tape.var(plain.forward()[0])
     plain.record(tape, y)
@@ -316,12 +376,12 @@ def test_recording_misuse_raises_usage_error():
         cols = leaves if isinstance(leaves, list) else [leaves]
         with pytest.raises(ValueError, match="mismatch"):
             parameter_gradient(net, sum((col * 1.0).sum() for col in cols))
-    # a kernel of another network does not bind this one
+    # a kernel of another network does not record this one
     stranger = init_network([6, 8, 8, 4], seed=4)
     leaf = tape.var(y)
     MlpJet(stranger, x).record(tape, leaf)
     loss = (leaf * 1.0).sum()
-    with pytest.raises(UsageError, match="never bound"):
+    with pytest.raises(UsageError, match="never recorded"):
         parameter_gradient(net, loss)
 
 

@@ -5,13 +5,14 @@ from hypothesis import given, strategies as st
 from pinncert import network, surrogate
 from pinncert.autodiff import Tape
 from pinncert.certify import Certifier, CertifyConfig, bound
-from pinncert.network import assemble_inputs, forward, init_network, parameter_gradient
+from pinncert.network import assemble_inputs, init_network
 from pinncert.ode import ConfigurationError, PointSet, decay_1d
 from pinncert.surrogate import (asymmetric_loss,
                                 evaluate_error_net, export_surrogate_dataset,
                                 generate_surrogate_data, load_surrogate_dataset,
                                 train_error_net)
 from pinncert.train import TrainingRun, anchor_dataset, optimize, sample_collocation, train
+from tape_reference import BoundWeights
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -139,15 +140,17 @@ def _pendulum_shaped_dataset(n=50, seed=4):
 
 
 def _taped_fit(dataset, fitted, run, under_weight):
-    """The fit with the network on the general tape: ``forward(net, X, Tape())``."""
+    """The fit with the network on the general tape: its weights bound as
+    tape leaves by hand on each evaluation."""
     net = init_network(fitted.layer_dims, activation="tanh", seed=run.seed,
                        meta=dict(fitted.meta))
     X = assemble_inputs(net.meta["inputs"], dataset.t, dataset.x0, dataset.u)
 
     def evaluate():
-        pred = forward(net, X, Tape())[:, 0]
+        bound = BoundWeights(net, Tape())
+        pred = bound.forward(X)[:, 0]
         loss = asymmetric_loss(pred, dataset.target, under_weight)
-        return float(loss.value), float(loss.value), 0.0, parameter_gradient(net, loss)
+        return float(loss.value), float(loss.value), 0.0, bound.gradient(loss)
 
     optimize(net, run, evaluate)
     return net

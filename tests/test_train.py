@@ -6,13 +6,13 @@ import pytest
 from pinncert import presets
 from pinncert.autodiff import Dual, Tape, sin
 from pinncert.config import preset_config
-from pinncert.network import (MlpJet, Network, flatten_params, forward, init_network,
-                              parameter_gradient, set_params)
+from pinncert.network import MlpJet, Network, flatten_params, init_network, set_params
 from pinncert.ode import Box, ConfigurationError, OdeProblem, PointSet, decay_1d
 from pinncert.train import (DivergenceError, TrainingRun, _loss_and_grad, _training_jets,
                             adam_step, anchor_dataset, assemble_inputs, eta_weights,
                             export_loss_history, infer_layout, loss_data, loss_physics,
                             optimize, sample_collocation, train)
+from tape_reference import BoundWeights
 
 
 def linear_time_net(slope, intercept):
@@ -318,6 +318,11 @@ def test_run_validation():
     for bad in ({"lr": -0.01}, {"lr": float("nan")}, {"lr": float("inf")}, {"epochs": -3}):
         with pytest.raises(ConfigurationError):
             TrainingRun(**bad).validate()
+    # counts and seeds that are not ints, or negative seeds, used to fail in numpy
+    for bad in ({"epochs": 2.0}, {"epochs": True}, {"seed": 1.5}, {"seed": -1}, {"seed": None}):
+        with pytest.raises(ConfigurationError, match=f"^{next(iter(bad))} must be an int"):
+            TrainingRun(**bad).validate()
+    TrainingRun(epochs=np.int64(3), seed=np.int64(0)).validate()
 
 
 def test_assemble_inputs_layout_order():
@@ -360,22 +365,21 @@ def test_export_loss_history(tmp_path):
 # -- the training kernel against the tape -----------------------------------
 
 def _taped_loss_and_grad(net, problem, dataset, colloc, run, eta_w):
-    """The whole loss recorded on one general tape: the network through
-    ``forward(net, X, tape)`` and ``forward(net, Dual(X, e_t), tape)``, the
-    weights bound as the tape's leaves."""
+    """The whole loss recorded on one general tape, with the weights bound as
+    the tape's leaves by hand and the network evaluated on them."""
     layout = infer_layout(net, problem)
-    tape = Tape()
+    bound = BoundWeights(net, Tape())
     total, l_data, l_phys = None, 0.0, 0.0
     if run.gamma_data > 0 and dataset is not None and len(dataset):
         X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
-        diff = forward(net, X, tape) - dataset.target
+        diff = bound.forward(X) - dataset.target
         loss = (diff * diff).sum(axis=1).mean()
         l_data, total = float(loss.value), run.gamma_data * loss
     if run.gamma_phys > 0 and colloc is not None and len(colloc):
         X = assemble_inputs(layout, colloc.t, colloc.x0, colloc.u)
         e_t = np.zeros_like(X)
         e_t[:, 0] = 1.0
-        out = forward(net, Dual(X, e_t), tape)
+        out = bound.forward(Dual(X, e_t))
         y, ydot = out.value, out.derivative
         f = problem.rhs(colloc.t, [y[:, i] for i in range(problem.dim)],
                         [colloc.u[:, j] for j in range(colloc.u.shape[1])])
@@ -386,7 +390,7 @@ def _taped_loss_and_grad(net, problem, dataset, colloc, run, eta_w):
         loss = (eta_w * sq).mean()
         l_phys, term = float(loss.value), run.gamma_phys * loss
         total = term if total is None else total + term
-    return float(total.value), l_data, l_phys, parameter_gradient(net, total)
+    return float(total.value), l_data, l_phys, bound.gradient(total)
 
 
 def _preset_problem(name, activation="tanh", colloc_count=300, **run_overrides):
