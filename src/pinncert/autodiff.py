@@ -56,9 +56,18 @@ _over_b = lambda g, a, b: g / b
 _quotient = lambda g, a, b: -g * a / (b * b)
 _negate = lambda g, a, b: -g
 _power = lambda g, a, b: g * b * a ** (b - 1)
-_matmul_left = lambda g, a, b: g @ b.T
-_matmul_right = lambda g, a, b: a.T @ g
+_matmul_left = lambda g, a, b: np.reshape(_matrix(g, a, b) @ _column(b).T, a.shape)
+_matmul_right = lambda g, a, b: np.reshape(np.atleast_2d(a).T @ _matrix(g, a, b), b.shape)
 _transpose = lambda g, a, b: g.T
+
+
+def _column(b):
+    return b if b.ndim > 1 else b[:, np.newaxis]
+
+
+def _matrix(g, a, b):
+    # numpy's matmul promotion: a 1-D left operand is a row, a 1-D right one a column
+    return np.reshape(g, (len(np.atleast_2d(a)), _column(b).shape[1]))
 
 
 def _scatter(g, a, b):

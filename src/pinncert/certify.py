@@ -89,38 +89,19 @@ def mean_residual_norm(net: Network, problem: OdeProblem, colloc: PointSet):
 
 @dataclass
 class SmoothDelta:
-    """delta(t) = sqrt(||R(t)||^2 + mu^2): smooth majorant of the residual norm.
-
-    :meth:`store` evaluates delta on several time grids in one residual pass;
-    a later call on an identical grid returns the stored values, read-only.
-    """
+    """delta(t) = sqrt(||R(t)||^2 + mu^2): smooth majorant of the residual norm."""
 
     residual_fn: ResidualFn
     mu: float
-    stored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mu < 0:
             raise ConfigurationError("mu must be non-negative")
 
     def __call__(self, t):
-        if np.ndim(t) == 1 and self.stored:
-            hit = self.stored.get(np.asarray(t, dtype=float).tobytes())
-            if hit is not None:
-                return hit
         r = self.residual_fn.norms(np.atleast_1d(t))
         out = np.sqrt(r * r + self.mu * self.mu)
         return float(out[0]) if np.ndim(t) == 0 else out
-
-    def store(self, grids):
-        """delta on each new 1-D grid, from one residual pass over all of them."""
-        grids = [g for g in grids if g.tobytes() not in self.stored]
-        if not grids:
-            return
-        values = self(np.concatenate(grids))
-        values.setflags(write=False)
-        for g, v in zip(grids, np.split(values, np.cumsum([len(g) for g in grids[:-1]]))):
-            self.stored[g.tobytes()] = v
 
 
 # -- growth constants -----------------------------------------------------
@@ -221,16 +202,40 @@ def trapezoid_bound_integral(delta, L, t, n, K):
     may be negative.  Returns (i_hat, e_int) with |i_hat - I(t, delta)| <=
     e_int whenever K truly bounds the damped integrand's second derivative.
     The remainder prefactor max(1, e^{Lt}) equals e^{Lt} for L >= 0.
+
+    Equal-length sequences ``t`` and ``n`` give two lists, (i_hats, e_ints),
+    from one ``delta`` call over the nodes of every time; each time's nodes
+    and sums are those of its own call.  A time must be finite and >= 0.
     """
-    require_int("n", n, 1)
-    if t == 0.0:
-        return 0.0, 0.0
-    s = np.linspace(0.0, t, n + 1)
-    vals = np.exp(-L * s) * np.atleast_1d(delta(s))
-    growth = _growth(L, t)
-    i_hat = (t / (2.0 * n)) * growth * float(vals[1:].sum() + vals[:-1].sum())
-    e_int = max(1.0, growth) * K * t ** 3 / (12.0 * n * n)
-    return i_hat, e_int
+    scalar = np.ndim(t) == 0
+    times, counts = ([t], [n]) if scalar else (list(t), list(n))
+    if len(times) != len(counts):
+        raise ConfigurationError(f"{len(times)} times but {len(counts)} subinterval counts")
+    for ti, ni in zip(times, counts):
+        require_int("n", ni, 1)
+        if not 0.0 <= ti < math.inf:
+            raise DomainError(f"trapezoid time t = {ti} must be finite and >= 0")
+    i_hats, e_ints = [0.0] * len(times), [0.0] * len(times)
+    live = [j for j, ti in enumerate(times) if ti != 0.0]
+    if live:
+        # one ragged grid: each time's nodes are np.linspace(0, t, n + 1) bit for bit
+        t_live = np.array([times[j] for j in live], dtype=float)
+        size = np.array([counts[j] for j in live]) + 1
+        ends = np.cumsum(size)
+        step = t_live / (size - 1)
+        s = (np.arange(ends[-1]) - np.repeat(ends - size, size)) * np.repeat(step, size) + 0.0
+        s[ends - 1] = t_live
+        for k in np.flatnonzero(step == 0.0):   # t / n underflows: linspace's other route
+            s[ends[k] - size[k]:ends[k]] = np.linspace(0.0, t_live[k], size[k])
+        vals = np.exp(-L * s) * np.atleast_1d(delta(s))
+        for j, b in zip(live, ends.tolist()):
+            ti, ni = times[j], counts[j]
+            a = b - ni - 1
+            growth = _growth(L, ti)
+            i_hats[j] = (ti / (2.0 * ni)) * growth * float(vals[a + 1:b].sum()
+                                                          + vals[a:b - 1].sum())
+            e_ints[j] = max(1.0, growth) * K * ti ** 3 / (12.0 * ni * ni)
+    return (i_hats[0], e_ints[0]) if scalar else (i_hats, e_ints)
 
 
 def _growth(rate, t):
@@ -309,7 +314,8 @@ class Certifier:
     """The per-network constants of the certificate, computed once: the
     growth rate, the mean residual over the certification collocation and
     mu.  :meth:`trajectory` adds the per-(x0, u) constants, once per
-    distinct (x0, u), and :func:`bound` the per-time quadrature.
+    distinct (x0, u), and the quadrature of the times it is given; :func:`bound`
+    computes the quadrature at any other time.
 
     The rate is ``config.L`` if set (source ``override``), else the
     logarithmic norm mu_2(A) = lambda_max((A + A^T) / 2) of the problem's
@@ -340,8 +346,9 @@ class Certifier:
         """The constants of x0 (dim,) and u (control_dim,): the smooth majorant
         delta, ||e(0)|| and K.
 
-        Given query ``times``, delta is also evaluated on the trapezoid nodes
-        of each time inside (0, t_final], in one residual pass, so that
+        Given query ``times``, each new time inside [0, t_final] also gets its
+        subinterval count and trapezoid, all from one
+        :func:`trapezoid_bound_integral` call (one residual pass), so that
         :func:`bound` at those times reads them instead of calling the network.
         """
         x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
@@ -362,19 +369,25 @@ class Certifier:
                     f"{exc}, on the trajectory x0={x0.tolist()}, u={u.tolist()}") from exc
             self._trajectories[key] = TrajectoryConstants(self, delta, init_error, K)
         traj = self._trajectories[key]
-        traj.delta.store([np.linspace(0.0, t, traj.subintervals(t) + 1)
-                          for t in times if 0.0 < t <= self.problem.t_final])
+        new = list(dict.fromkeys(t for t in times if 0.0 <= t <= self.problem.t_final
+                                 and t not in traj.quadrature))
+        if new:
+            n = [traj.subintervals(t) for t in new]
+            i_hats, e_ints = trapezoid_bound_integral(traj.delta, self.rate, new, n, traj.K)
+            traj.quadrature.update(zip(new, zip(n, i_hats, e_ints)))
         return traj
 
 
 @dataclass
 class TrajectoryConstants:
-    """What :meth:`Certifier.trajectory` computed for one (x0, u)."""
+    """What :meth:`Certifier.trajectory` computed for one (x0, u), with
+    ``quadrature`` holding (n, i_hat, e_int) for each time it was given."""
 
     certifier: Certifier
     delta: SmoothDelta
     init_error: float
     K: float
+    quadrature: dict = field(default_factory=dict, repr=False)
 
     def subintervals(self, t):
         """Trapezoid subintervals at time t: the configured n, else the eps rule."""
@@ -386,13 +399,18 @@ class TrajectoryConstants:
 
 
 def bound(traj: TrajectoryConstants, t) -> Certificate:
-    """E_init + I_hat + E_Int at time t; only n and the trapezoid depend on t."""
+    """E_init + I_hat + E_Int at time t; only n and the trapezoid depend on t,
+    and those are read from the trajectory pass if it was given t."""
     c, config = traj.certifier, traj.certifier.config
     if not (0.0 <= t <= c.problem.t_final):
         raise DomainError(f"t={t} outside the time horizon [0, {c.problem.t_final}]")
-    n = traj.subintervals(t)
+    hit = traj.quadrature.get(float(t))
+    if hit:
+        n, i_hat, e_int = hit
+    else:
+        n = traj.subintervals(t)
+        i_hat, e_int = trapezoid_bound_integral(traj.delta, c.rate, t, n, traj.K)
     e_init = _growth(c.rate, t) * traj.init_error
-    i_hat, e_int = trapezoid_bound_integral(traj.delta, c.rate, t, n, traj.K)
     total = e_init + i_hat + e_int
     if not math.isfinite(total):
         raise NumericError(f"certificate at t = {t} is not finite (rate {c.rate}): "

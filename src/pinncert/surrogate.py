@@ -7,6 +7,8 @@ overestimation, which pushes the fit to a smooth upper wrapper.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tape, Var
@@ -57,11 +59,15 @@ def asymmetric_loss(pred, target, under_weight):
 
     Works on arrays and tape ``Var``s; no gradient flows through the weights.
     """
-    if under_weight < 1:
-        raise ConfigurationError("under_weight must be >= 1")
+    _check_under_weight(under_weight)
     diff = pred - target
     w = np.where((pred.value if isinstance(pred, Var) else pred) < target, under_weight, 1.0)
     return (w * diff * diff).mean()
+
+
+def _check_under_weight(under_weight):
+    if not 1 <= under_weight < math.inf:
+        raise ConfigurationError(f"under_weight must be finite and >= 1, got {under_weight}")
 
 
 def train_error_net(dataset: PointSet, arch, run: TrainingRun, under_weight=1000.0) -> Network:
@@ -72,8 +78,7 @@ def train_error_net(dataset: PointSet, arch, run: TrainingRun, under_weight=1000
     """
     if len(dataset) == 0 or dataset.target is None:
         raise ConfigurationError("the surrogate dataset has no rows or no targets")
-    if under_weight < 1:
-        raise ConfigurationError("under_weight must be >= 1")
+    _check_under_weight(under_weight)
     run.validate()
 
     layout = ["t"]

@@ -181,6 +181,15 @@ def test_matmul_in_both_directions():
     _assert_gradients(lambda y: ((a @ y).T @ m.T).sum(), [b])
 
 
+@pytest.mark.parametrize("shapes", [((3,), (3, 2)), ((2, 3), (3,)), ((3,), (3,))], ids=str)
+def test_matmul_with_one_dimensional_operands(shapes):
+    # numpy promotes a 1-D operand to a row (left) or a column (right) and drops that axis
+    a, b = _operands(shapes)
+    _assert_gradients(lambda x, y: ((x @ y) ** 2).sum(), [a, b])   # Var @ Var
+    _assert_gradients(lambda x: ((x @ b) ** 2).sum(), [a])         # Var @ ndarray
+    _assert_gradients(lambda y: ((a @ y) ** 2).sum(), [b])         # ndarray @ Var
+
+
 def test_backward_on_unrecorded_scalar_raises():
     with pytest.raises(UsageError):
         backward(3.14)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pinncert.certify import (Certificate, Certifier, CertifyConfig,
                               DegenerateSmoothingError, DomainError, ResidualFn,
@@ -365,6 +365,47 @@ def test_trapezoid_validates_n_and_t():
     assert trapezoid_bound_integral(one, 1.0, 0.0, 4, 1.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_trapezoid_rejects_negative_and_non_finite_times(t):
+    one = lambda s: np.ones_like(np.atleast_1d(s))
+    with pytest.raises(DomainError, match=f"t = {t}"):
+        trapezoid_bound_integral(one, 1.0, t, 4, 2.0)
+    with pytest.raises(DomainError, match=f"t = {t}"):
+        trapezoid_bound_integral(one, 1.0, [0.5, t], [4, 4], 2.0)
+
+
+def test_trapezoid_sequences_of_different_lengths_raise():
+    one = lambda s: np.ones_like(np.atleast_1d(s))
+    with pytest.raises(ConfigurationError, match="2 times but 3"):
+        trapezoid_bound_integral(one, 1.0, [0.5, 1.0], [4, 4, 4], 2.0)
+
+
+@given(cases=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                                st.integers(1, 40)), min_size=1, max_size=8),
+       repeat=st.booleans(), L=st.floats(-3.0, 3.0))
+@example(cases=[(5e-324, 3), (1e-320, 7), (2.0, 2)], repeat=False, L=1.0)   # t / n underflows
+def test_trapezoid_sequence_equals_the_scalar_call_at_each_time(cases, repeat, L):
+    if repeat:                      # repeated and unsorted times
+        cases = cases + cases[::-1]
+    times, counts = [t for t, _ in cases], [n for _, n in cases]
+    seen = []
+
+    def delta(s):
+        seen.append(np.array(s))
+        return 0.3 + np.sin(3.0 * np.atleast_1d(s)) ** 2
+
+    i_hats, e_ints = trapezoid_bound_integral(delta, L, times, counts, 5.0)
+    assert len(seen) <= 1
+    nodes = seen[0] if seen else np.empty(0)
+    live = [(t, n) for t, n in cases if t != 0.0]
+    ends = np.cumsum([n + 1 for _, n in live], dtype=int)
+    for (t, n), piece in zip(live, np.split(nodes, ends[:-1])):
+        assert piece.tobytes() == np.linspace(0.0, t, n + 1).tobytes()
+    assert len(nodes) == (ends[-1] if live else 0)
+    for t, n, i_hat, e_int in zip(times, counts, i_hats, e_ints):
+        assert (i_hat, e_int) == trapezoid_bound_integral(delta, L, t, n, 5.0)
+
+
 # -- subinterval count ----------------------------------------------------
 
 def test_subintervals_floor_rule():
@@ -641,7 +682,11 @@ def test_trajectory_times_give_the_certificates_of_per_time_calls(case, quick_de
         for a, b in zip(direct, (bound(traj, t) for t in times)):
             assert a.constants_used == b.constants_used
             for name in ("t", "e_init", "i_hat", "e_int", "total"):
-                np.testing.assert_allclose(getattr(b, name), getattr(a, name), rtol=1e-13, atol=0)
+                if case == "decay1d":
+                    assert getattr(b, name) == getattr(a, name)
+                else:   # BLAS rounds a 32-wide hidden matmul row differently in a larger batch
+                    np.testing.assert_allclose(getattr(b, name), getattr(a, name),
+                                               rtol=1e-13, atol=0)
 
 
 def test_trajectory_times_make_one_residual_pass(quick_decay_net, monkeypatch):
@@ -652,11 +697,14 @@ def test_trajectory_times_make_one_residual_pass(quick_decay_net, monkeypatch):
     nodes = sum(traj.subintervals(t) + 1 for t in times if t > 0)
     assert [len(t) for t in calls] == [nodes]
     calls.clear()
-    certs = [bound(traj, t) for t in times]
-    certifier.trajectory(x0, u, times)          # stored grids are not evaluated again
-    assert calls == []
-    grid = np.linspace(0.0, times[-1], certs[-1].constants_used["n_subintervals"] + 1)
-    assert not traj.delta(grid).flags.writeable
+    trapezoids = []
+    real = certify.trapezoid_bound_integral
+    monkeypatch.setattr(certify, "trapezoid_bound_integral",
+                        lambda *args: trapezoids.append(args) or real(*args))
+    for t in times:
+        bound(traj, t)
+    certifier.trajectory(x0, u, times)          # passed times are not evaluated again
+    assert calls == [] and trapezoids == []
 
 
 def test_trajectory_times_leave_other_calls_unchanged(quick_decay_net, monkeypatch):

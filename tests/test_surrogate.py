@@ -39,6 +39,14 @@ def test_asymmetric_loss_rejects_weight_below_one():
         asymmetric_loss(1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("w", [0.5, float("nan"), float("inf")])
+def test_under_weight_below_one_or_not_finite_is_rejected(w):
+    with pytest.raises(ConfigurationError, match="under_weight"):
+        asymmetric_loss(np.ones(3), np.zeros(3), w)
+    with pytest.raises(ConfigurationError, match="under_weight"):
+        train_error_net(_toy_dataset(), [4], TrainingRun(epochs=10), under_weight=w)
+
+
 def test_array_loss_is_mean_of_weighted_terms():
     pred, target = np.array([0.9, 1.1, 1.0]), np.ones(3)
     assert asymmetric_loss(pred, target, 1000.0) == pytest.approx((10.0 + 0.01) / 3, rel=1e-12)
