@@ -106,13 +106,6 @@ class SmoothDelta:
 
 # -- growth constants -----------------------------------------------------
 
-def largest_singular_value(j):
-    """sigma_max via the largest eigenvalue of J^T J (numpy's symmetric solver)."""
-    j = np.asarray(j, dtype=float)
-    eigs = np.linalg.eigvalsh(j.T @ j)
-    return math.sqrt(max(float(np.max(eigs)), 0.0))
-
-
 def rhs_jacobian(problem: OdeProblem, t, x, u):
     """d f / d x: (d, d) at one point x (d,), (d, d, B) on batch columns x (d, B).
 
@@ -165,9 +158,10 @@ def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FA
     Central second differences on a uniform grid, scaled by a safety
     factor.  The stencil reaches slightly outside [0, t_end] at the ends;
     the network extends smoothly so this is well defined.  A non-finite
-    delta on the grid raises :class:`ResidualOverflowError`; a finite delta
-    with a non-finite second difference raises
-    :class:`DegenerateSmoothingError`.
+    delta on the grid raises :class:`ResidualOverflowError`; a NaN delta at
+    a stencil end raises :class:`DegenerateSmoothingError`; a damped
+    integrand that overflows, as e^{-Ls} does for a strongly negative rate,
+    raises :class:`NumericError` naming the rate.
     """
     require_int("grid_points", grid_points, 10)
     if t_end == 0.0:
@@ -184,11 +178,16 @@ def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FA
         i = int(np.argmax(bad))
         raise ResidualOverflowError(f"residual majorant delta(s) = {mid[i]} at s = {s[i]}: "
                                     "the residual or its squared norm overflows")
-    second = (g(s - h) - 2.0 * (np.exp(-L * s) * mid) + g(s + h)) / (h * h)
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below
+        lo, hi = g(s - h), g(s + h)
+        second = (lo - 2.0 * (np.exp(-L * s) * mid) + hi) / (h * h)
     if not np.all(np.isfinite(second)):
-        raise DegenerateSmoothingError(
-            "second derivative of the damped residual majorant is not finite; "
-            "use a smoothing parameter mu > 0")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise DegenerateSmoothingError(
+                "second derivative of the damped residual majorant is not finite; "
+                "use a smoothing parameter mu > 0")
+        raise NumericError(f"damped residual majorant e^(-rate*s) delta(s) or its second "
+                           f"difference overflows at rate {L} on [0, {t_end}]")
     return safety_factor * float(np.max(np.abs(second)))
 
 
@@ -205,16 +204,22 @@ def trapezoid_bound_integral(delta, L, t, n, K):
 
     Equal-length sequences ``t`` and ``n`` give two lists, (i_hats, e_ints),
     from one ``delta`` call over the nodes of every time; each time's nodes
-    and sums are those of its own call.  A time must be finite and >= 0.
+    and sums are those of its own call.  A time must be finite and >= 0; a
+    grid too large for a numpy array is a :class:`NumericError`.
     """
     scalar = np.ndim(t) == 0
     times, counts = ([t], [n]) if scalar else (list(t), list(n))
     if len(times) != len(counts):
         raise ConfigurationError(f"{len(times)} times but {len(counts)} subinterval counts")
+    nodes, most = 0, np.iinfo(np.intp).max // 8      # the float64 nodes numpy can address
     for ti, ni in zip(times, counts):
         require_int("n", ni, 1)
         if not 0.0 <= ti < math.inf:
             raise DomainError(f"trapezoid time t = {ti} must be finite and >= 0")
+        nodes += ni + 1
+        if nodes > most:
+            raise NumericError(f"trapezoid grid too large for an array at rate {L}, "
+                               f"t = {ti}, n = {ni:.3g}")
     i_hats, e_ints = [0.0] * len(times), [0.0] * len(times)
     live = [j for j, ti in enumerate(times) if ti != 0.0]
     if live:
@@ -314,8 +319,7 @@ class Certifier:
     """The per-network constants of the certificate, computed once: the
     growth rate, the mean residual over the certification collocation and
     mu.  :meth:`trajectory` adds the per-(x0, u) constants, once per
-    distinct (x0, u), and the quadrature of the times it is given; :func:`bound`
-    computes the quadrature at any other time.
+    distinct (x0, u); :meth:`certify` certifies a batch of query points.
 
     The rate is ``config.L`` if set (source ``override``), else the
     logarithmic norm mu_2(A) = lambda_max((A + A^T) / 2) of the problem's
@@ -344,13 +348,8 @@ class Certifier:
 
     def trajectory(self, x0, u, times=()) -> TrajectoryConstants:
         """The constants of x0 (dim,) and u (control_dim,): the smooth majorant
-        delta, ||e(0)|| and K.
-
-        Given query ``times``, each new time inside [0, t_final] also gets its
-        subinterval count and trapezoid, all from one
-        :func:`trapezoid_bound_integral` call (one residual pass), so that
-        :func:`bound` at those times reads them instead of calling the network.
-        """
+        delta, ||e(0)|| and K, with the quadrature of the query ``times``
+        (:meth:`TrajectoryConstants.integrate`)."""
         x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
         p = self.problem
         if x0.shape != (p.dim,) or u.shape != (p.control_dim,):
@@ -361,27 +360,40 @@ class Certifier:
             delta = SmoothDelta(ResidualFn(self.net, self.problem, x0, u), self.mu)
             init_error = float(np.linalg.norm(
                 x0 - predict_states(self.net, self.problem, x0, u, 0.0)[0]))
-            try:
-                K = estimate_K(delta, self.rate, self.problem.t_final, self.config.K_grid,
-                               self.config.safety_factor)
-            except ResidualOverflowError as exc:
-                raise ResidualOverflowError(
-                    f"{exc}, on the trajectory x0={x0.tolist()}, u={u.tolist()}") from exc
+            K = estimate_K(delta, self.rate, self.problem.t_final, self.config.K_grid,
+                           self.config.safety_factor)
             self._trajectories[key] = TrajectoryConstants(self, delta, init_error, K)
-        traj = self._trajectories[key]
-        new = list(dict.fromkeys(t for t in times if 0.0 <= t <= self.problem.t_final
-                                 and t not in traj.quadrature))
-        if new:
-            n = [traj.subintervals(t) for t in new]
-            i_hats, e_ints = trapezoid_bound_integral(traj.delta, self.rate, new, n, traj.K)
-            traj.quadrature.update(zip(new, zip(n, i_hats, e_ints)))
-        return traj
+        return self._trajectories[key].integrate(times)
+
+    def certify(self, t, x0, u) -> list[Certificate]:
+        """The certificates of the points (t[i], x0[i], u[i]), in their order,
+        from one trajectory pass per distinct (x0, u) over all of its times.  A
+        failure names the point's index, t, x0 and u, and keeps its exit-code
+        class: numeric failures stay numeric, the rest is a configuration error."""
+        t, x0, u = (np.asarray(a, dtype=float) for a in (t, x0, u))
+        if not len(t) == len(x0) == len(u):
+            raise ConfigurationError(f"{len(t)} times but {len(x0)} x0 and {len(u)} u rows")
+        groups = {}
+        for i, row in enumerate(np.column_stack([x0, u])):
+            groups.setdefault(row.tobytes(), []).append(i)
+        certs = [None] * len(t)
+        for rows in groups.values():
+            i = rows[0]         # a failed trajectory pass is named by its first point
+            try:
+                traj = self.trajectory(x0[i], u[i], t[rows])
+                for i in rows:
+                    certs[i] = bound(traj, t[i])
+            except (ValueError, NumericError) as exc:
+                kind = NumericError if isinstance(exc, NumericError) else ConfigurationError
+                raise kind(f"certificate failed at point {i} (t={t[i]}, x0={x0[i].tolist()}, "
+                           f"u={u[i].tolist()}): {exc}") from exc
+        return certs
 
 
 @dataclass
 class TrajectoryConstants:
     """What :meth:`Certifier.trajectory` computed for one (x0, u), with
-    ``quadrature`` holding (n, i_hat, e_int) for each time it was given."""
+    ``quadrature`` holding (n, i_hat, e_int) for each time it integrated."""
 
     certifier: Certifier
     delta: SmoothDelta
@@ -397,19 +409,29 @@ class TrajectoryConstants:
         return subinterval_count(t, self.init_error, max(c.rate, 1e-6), self.K,
                                  c.mean_residual, config.eps)
 
+    def integrate(self, times) -> TrajectoryConstants:
+        """Add the subinterval count and trapezoid of each new time inside
+        [0, t_final] to ``quadrature``, all from one
+        :func:`trapezoid_bound_integral` call (one residual pass); returns self."""
+        c = self.certifier
+        new = list(dict.fromkeys(t for t in times if 0.0 <= t <= c.problem.t_final
+                                 and t not in self.quadrature))
+        if new:
+            n = [self.subintervals(t) for t in new]
+            i_hats, e_ints = trapezoid_bound_integral(self.delta, c.rate, new, n, self.K)
+            self.quadrature.update(zip(new, zip(n, i_hats, e_ints)))
+        return self
+
 
 def bound(traj: TrajectoryConstants, t) -> Certificate:
-    """E_init + I_hat + E_Int at time t; only n and the trapezoid depend on t,
-    and those are read from the trajectory pass if it was given t."""
+    """E_init + I_hat + E_Int at time t; n and the trapezoid, the only parts
+    that depend on t, are read from the trajectory's quadrature."""
     c, config = traj.certifier, traj.certifier.config
     if not (0.0 <= t <= c.problem.t_final):
         raise DomainError(f"t={t} outside the time horizon [0, {c.problem.t_final}]")
-    hit = traj.quadrature.get(float(t))
-    if hit:
-        n, i_hat, e_int = hit
-    else:
-        n = traj.subintervals(t)
-        i_hat, e_int = trapezoid_bound_integral(traj.delta, c.rate, t, n, traj.K)
+    if float(t) not in traj.quadrature:
+        traj.integrate([float(t)])
+    n, i_hat, e_int = traj.quadrature[float(t)]
     e_init = _growth(c.rate, t) * traj.init_error
     total = e_init + i_hat + e_int
     if not math.isfinite(total):

@@ -92,15 +92,13 @@ def cmd_certify(args):
     starts, x0s, us, times = _trajectories(cfg, problem, args)
     net = load_network(args.network or Path(cfg.out_dir) / "network.json")
     certifier = cert.Certifier(net, problem, certify_config(cfg))
-    certs = []
-    for t_start, x0, u in zip(starts, x0s, us):
-        traj = certifier.trajectory(x0, u, times)
-        for t in times:
-            c = cert.bound(traj, t)
-            if t_start is not None:
-                c.t = t_start + t          # report global time
-                c.constants_used["interval_t_start"] = t_start
-            certs.append(c)
+    T = len(times)
+    certs = certifier.certify(np.tile(times, len(x0s)), np.repeat(x0s, T, axis=0),
+                              np.repeat(us, T, axis=0))
+    for c, t_start in zip(certs, (s for s in starts for _ in times)):
+        if t_start is not None:
+            c.t = t_start + c.t            # report global time
+            c.constants_used["interval_t_start"] = t_start
     # the trajectories share their local times, so one batched reference serves all
     actual = (cert.actual_error(net, problem, x0s, us, times).ravel()
               if args.with_reference else None)
@@ -136,7 +134,7 @@ def cmd_surrogate(args):
     held = sample_collocation(problem, count, cfg.seed + 31)
     if on_grid:
         held.t = np.linspace(0.0, problem.t_final, count)
-    e_cert = surrogate.certified_totals(certifier, held.t, held.x0, held.u, "held-out point")
+    e_cert = np.array([c.total for c in certifier.certify(held.t, held.x0, held.u)])
     e_nn = surrogate.evaluate_error_net(err_net, held.t, held.x0, held.u)
     write_table(out / "surrogate_comparison.csv",
                 [*point_columns(problem.dim, problem.control_dim), "e_certified", "e_nn"],

@@ -12,17 +12,16 @@ from pinncert.certify import (Certificate, Certifier, CertifyConfig,
                               DegenerateSmoothingError, DomainError, ResidualFn,
                               SmoothDelta, actual_error, bound, bound_linear,
                               bound_nonlinear, estimate_K, estimate_lipschitz,
-                              export_certificates, largest_singular_value,
-                              mean_residual_norm, predict_states, rhs_jacobian,
-                              spectral_abscissa, subinterval_count,
+                              export_certificates, mean_residual_norm, predict_states,
+                              rhs_jacobian, spectral_abscissa, subinterval_count,
                               trapezoid_bound_integral)
 from pinncert import certify, presets
 from pinncert.autodiff import Dual
 from pinncert.cli import main
 from pinncert.config import certify_config, preset_config
 from pinncert.network import Network, init_network, load_network, save_network
-from pinncert.ode import (Box, ConfigurationError, OdeProblem, PointSet, decay_1d,
-                          inverted_pendulum, solve_reference)
+from pinncert.ode import (Box, ConfigurationError, NumericError, OdeProblem, PointSet,
+                          decay_1d, inverted_pendulum, solve_reference)
 from pinncert.train import TrainingRun, anchor_dataset, sample_collocation, train
 
 
@@ -153,14 +152,6 @@ def test_delta_dominates_residual_norm(quick_decay_net):
 
 # -- growth constants -----------------------------------------------------
 
-def test_largest_singular_value_matches_numpy():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        j = rng.normal(size=(4, 4))
-        assert largest_singular_value(j) == pytest.approx(
-            np.linalg.svd(j, compute_uv=False)[0], rel=1e-10)
-
-
 def test_lipschitz_decay_exact():
     colloc = sample_collocation(decay_1d(), 20, seed=0)
     assert abs(estimate_lipschitz(decay_1d(), colloc) - 2.0) <= 1e-12
@@ -190,11 +181,11 @@ def _per_point_jacobian(problem, t, x, u):
 
 
 def _pointwise_lipschitz(problem, colloc):
-    """The per-point loop: one Jacobian and one eigensolve per point."""
+    """The per-point loop: one Jacobian and one eigensolve of J^T J per point."""
     best = 0.0
     for i in range(len(colloc)):
         jac = _per_point_jacobian(problem, colloc.t[i], colloc.x0[i], colloc.u[i])
-        best = max(best, largest_singular_value(jac))
+        best = max(best, math.sqrt(max(float(np.max(np.linalg.eigvalsh(jac.T @ jac))), 0.0)))
     return best
 
 
@@ -284,7 +275,7 @@ def test_lipschitz_pendulum_probe_matches_fd_oracle():
         jac_fd[:, jcol] = (problem.rhs_array(0.0, up, u)
                            - problem.rhs_array(0.0, down, u)) / (2 * h)
     oracle = _power_iteration_sigma_max(jac_fd)
-    ours = largest_singular_value(problem.jacobian_x(0.0, x, u))
+    ours = estimate_lipschitz(problem, PointSet(np.zeros(1), x[None], u[None]))
     assert ours == pytest.approx(oracle, rel=1e-6)
 
 
@@ -378,6 +369,17 @@ def test_trapezoid_sequences_of_different_lengths_raise():
     one = lambda s: np.ones_like(np.atleast_1d(s))
     with pytest.raises(ConfigurationError, match="2 times but 3"):
         trapezoid_bound_integral(one, 1.0, [0.5, 1.0], [4, 4, 4], 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trapezoid_grid_past_the_array_limit_is_a_numeric_failure():
+    # counts this large are refused before any allocation, by the check or by numpy
+    one = lambda s: np.ones_like(np.atleast_1d(s))
+    for n in (10 ** 30, 2 ** 62):
+        with pytest.raises(NumericError, match=re.escape(f"rate -2.0, t = 1.0, n = {n:.3g}")):
+            trapezoid_bound_integral(one, -2.0, 1.0, n, 1.0)
+    with pytest.raises(NumericError, match=r"t = 0.5, n = 1e\+30$"):
+        trapezoid_bound_integral(one, -2.0, [1.0, 0.5], [4, 10 ** 30], 1.0)
 
 
 @given(cases=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
@@ -719,6 +721,80 @@ def test_trajectory_times_leave_other_calls_unchanged(quick_decay_net, monkeypat
     for t in outside:
         with pytest.raises(DomainError):
             bound(traj, t)
+
+
+def _interleaved_rows(trajectories):
+    """Rows (t, x0, u) that alternate between the first two trajectories'
+    times and end by repeating the first point."""
+    (xa, ua, ta), (xb, ub, tb) = trajectories[:2]
+    rows = [row for pair in zip(((t, xa, ua) for t in ta), ((t, xb, ub) for t in tb))
+            for row in pair]
+    rows.append(rows[0])
+    t, x0, u = zip(*rows)
+    return np.array(t), np.array(x0, dtype=float), np.array(u, dtype=float).reshape(len(t), -1)
+
+
+@pytest.mark.parametrize("case", ["decay1d", "pendulum"])
+def test_certify_gives_the_certificates_of_trajectory_and_bound(case, quick_decay_net):
+    certifier, trajectories = (_decay_case(quick_decay_net) if case == "decay1d"
+                               else _pinned_pendulum_case())
+    if case == "decay1d":           # a second initial value makes a second trajectory
+        trajectories.append(([1.0], (), trajectories[0][2][::-1]))
+    reference = Certifier(certifier.net, certifier.problem, certifier.config)
+    t, x0, u = _interleaved_rows(trajectories)
+    certs = certifier.certify(t, x0, u)
+    assert len(certs) == len(t)
+    for cert, ti, xi, ui in zip(certs, t, x0, u):
+        times = t[(x0 == xi).all(axis=1) & (u == ui).all(axis=1)]
+        assert cert == bound(reference.trajectory(xi, ui, times), ti)
+
+
+def test_certify_makes_one_trapezoid_call_per_trajectory(quick_decay_net, monkeypatch):
+    certifier, trajectories = _decay_case(quick_decay_net)
+    trajectories.append(([1.0], (), trajectories[0][2]))
+    calls = []
+    real = certify.trapezoid_bound_integral
+    monkeypatch.setattr(certify, "trapezoid_bound_integral",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    t, x0, u = _interleaved_rows(trajectories)
+    certifier.certify(t, x0, u)
+    assert [len(times) for times in calls] == [21, 21]
+
+
+def test_certify_failure_names_the_point_and_keeps_its_class(quick_decay_net):
+    certifier, _ = _decay_case(quick_decay_net)
+    with pytest.raises(ConfigurationError, match=r"point 0 \(t=0.5, x0=\[2.0, 1.0\], u=\[\]\)"):
+        certifier.certify([0.5, 1.0], [[2.0, 1.0], [2.0, 1.0]], np.zeros((2, 0)))
+    with pytest.raises(ConfigurationError, match="2 times but 1 x0 and 2 u rows"):
+        certifier.certify([0.5, 1.0], [[2.0]], np.zeros((2, 0)))
+    pendulum = Certifier(_pendulum_net(), inverted_pendulum(),
+                         CertifyConfig(colloc_count=20, K_grid=40))
+    x0 = np.array([[0.1, 0.0, 0.0, 0.0]] * 4)
+    u = np.array([[1.0], [1e300], [1.0], [1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError,
+                           match=r"point 1 \(t=0.02, x0=\[0.1, 0.0, 0.0, 0.0\], u=\[1e\+300\]\)"):
+            pendulum.certify([0.01, 0.02, 0.03, 0.04], x0, u)
+
+
+def _contracting_problem(rate):
+    """x' = rate x on [0, 2] from x0 in [-1, 1], with its linear part."""
+    return linear_problem(np.array([[rate]]), t_final=2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rate, message", [
+    (-400.0, r"overflows at rate -400.0 on \[0, 2.0\]"),    # the damping weight in K
+    (-200.0, r"at rate -200.0, t = 0.5, n = 5\.\d+e\+88"),    # the subinterval count
+])
+def test_strongly_contracting_linear_part_is_a_numeric_failure(rate, message):
+    # K bounds e^{-Ls} delta(s), which grows like e^{|L| t_final} for a negative rate
+    net = init_network([1, 4, 1], seed=0, meta={"inputs": ["t"]})
+    with pytest.raises(NumericError, match=message) as info:
+        bound_nonlinear(net, _contracting_problem(rate), [1.0], (), 0.5,
+                        CertifyConfig(colloc_count=20))
+    assert not isinstance(info.value, DegenerateSmoothingError)
 
 
 # -- reference comparison -------------------------------------------------

@@ -327,7 +327,7 @@ def test_numeric_failure_in_surrogate_data_exits_3(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(certify, "estimate_K", degenerate)
     assert main(["surrogate", "--config", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "numeric failure" in err and "generated point 0" in err
+    assert "numeric failure" in err and "point 0 (t=" in err
 
 
 @pytest.mark.parametrize("n_override", [None, 4], ids=["eps-rule", "fixed-n"])
@@ -430,7 +430,7 @@ def test_overflowing_residual_exits_3_naming_the_trajectory(tmp_path, capsys):
     assert main(["certify", "--config", str(path), "--schedule", str(schedule),
                  "--intervals", "2"]) == 3
     err = capsys.readouterr().err
-    assert "overflows" in err and "u=[1e+300]" in err and "x0=[0.1, 0.0, 0.0, 0.0]" in err
+    assert "overflows" in err and "point 20 (t=0.0, x0=[0.1, 0.0, 0.0, 0.0], u=[1e+300])" in err
     assert "mu > 0" not in err
 
 
