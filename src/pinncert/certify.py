@@ -34,7 +34,8 @@ class DegenerateSmoothingError(NumericError):
 
 
 class ResidualOverflowError(NumericError):
-    """The residual majorant delta is not finite on the time horizon."""
+    """The mean residual, or the residual majorant delta on the time horizon,
+    is not finite."""
 
 
 # -- residual -------------------------------------------------------------
@@ -80,11 +81,14 @@ class ResidualFn:
 
 
 def mean_residual_norm(net: Network, problem: OdeProblem, colloc: PointSet):
-    """Average residual norm over the collocation set (each point's own x0, u)."""
+    """Average residual norm over the collocation set (each point's own x0, u);
+    inf or NaN, without a numpy warning, where the residual overflows."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
-    cols = residual_batch_columns(net, problem, t=colloc.t, x0=colloc.x0, u=colloc.u)
-    return float(np.mean(np.linalg.norm(np.column_stack(cols), axis=1)))
+    # an overflow is reported by Certifier, which names the mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = residual_batch_columns(net, problem, t=colloc.t, x0=colloc.x0, u=colloc.u)
+        return float(np.mean(np.linalg.norm(np.column_stack(cols), axis=1)))
 
 
 @dataclass
@@ -139,8 +143,16 @@ def estimate_lipschitz(problem: OdeProblem, colloc: PointSet):
     bad = ~np.isfinite(jac).all(axis=(1, 2))
     if bad.any():
         raise DomainError(f"non-finite Jacobian at collocation point {int(np.argmax(bad))}")
-    # one stacked symmetric eigensolve: sigma_max^2 = lambda_max(J^T J) per point
-    eigs = np.linalg.eigvalsh(np.swapaxes(jac, 1, 2) @ jac)
+    # sigma_max^2 = lambda_max(J^T J) lies between J's largest squared column
+    # norm and its squared Frobenius norm: only the points whose Frobenius
+    # norm reaches the largest column norm (less a margin far above the
+    # rounding of either side) can hold the max, and one stacked symmetric
+    # eigensolve of theirs finds it; each point's J^T J and eigenvalues do not
+    # depend on which other points share the batch
+    columns = np.einsum("nij,nij->nj", jac, jac)
+    held = jac[columns.sum(axis=1) >= (1.0 - 1e-9) * float(np.max(columns))
+               - np.finfo(float).tiny]
+    eigs = np.linalg.eigvalsh(np.swapaxes(held, 1, 2) @ held)
     return math.sqrt(max(float(np.max(eigs)), 0.0))
 
 
@@ -205,7 +217,7 @@ def trapezoid_bound_integral(delta, L, t, n, K):
     Equal-length sequences ``t`` and ``n`` give two lists, (i_hats, e_ints),
     from one ``delta`` call over the nodes of every time; each time's nodes
     and sums are those of its own call.  A time must be finite and >= 0; a
-    grid too large for a numpy array is a :class:`NumericError`.
+    grid too large for a numpy array or for memory is a :class:`NumericError`.
     """
     scalar = np.ndim(t) == 0
     times, counts = ([t], [n]) if scalar else (list(t), list(n))
@@ -228,11 +240,16 @@ def trapezoid_bound_integral(delta, L, t, n, K):
         size = np.array([counts[j] for j in live]) + 1
         ends = np.cumsum(size)
         step = t_live / (size - 1)
-        s = (np.arange(ends[-1]) - np.repeat(ends - size, size)) * np.repeat(step, size) + 0.0
-        s[ends - 1] = t_live
-        for k in np.flatnonzero(step == 0.0):   # t / n underflows: linspace's other route
-            s[ends[k] - size[k]:ends[k]] = np.linspace(0.0, t_live[k], size[k])
-        vals = np.exp(-L * s) * np.atleast_1d(delta(s))
+        try:
+            s = (np.arange(ends[-1]) - np.repeat(ends - size, size)) * np.repeat(step, size) + 0.0
+            s[ends - 1] = t_live
+            for k in np.flatnonzero(step == 0.0):   # t / n underflows: linspace's other route
+                s[ends[k] - size[k]:ends[k]] = np.linspace(0.0, t_live[k], size[k])
+            vals = np.exp(-L * s) * np.atleast_1d(delta(s))
+        except MemoryError:
+            k = int(np.argmax(size))
+            raise NumericError(f"trapezoid grid of {ends[-1]:.3g} nodes does not fit in memory "
+                               f"at rate {L}, t = {t_live[k]}, n = {size[k] - 1:.3g}") from None
         for j, b in zip(live, ends.tolist()):
             ti, ni = times[j], counts[j]
             a = b - ni - 1
@@ -343,6 +360,10 @@ class Certifier:
         else:
             self.rate, self.rate_source = estimate_lipschitz(problem, colloc), "sampled"
         self.mean_residual = mean_residual_norm(net, problem, colloc)
+        if not math.isfinite(self.mean_residual):
+            raise ResidualOverflowError(
+                f"mean residual norm over the {len(colloc)} certification collocation points "
+                f"is {self.mean_residual}: the residual or its squared norm overflows")
         self.mu = 0.1 * self.mean_residual if config.mu is None else float(config.mu)
         self._trajectories = {}
 
@@ -358,8 +379,13 @@ class Certifier:
         key = (x0.tobytes(), u.tobytes())
         if key not in self._trajectories:
             delta = SmoothDelta(ResidualFn(self.net, self.problem, x0, u), self.mu)
-            init_error = float(np.linalg.norm(
-                x0 - predict_states(self.net, self.problem, x0, u, 0.0)[0]))
+            with np.errstate(over="ignore", invalid="ignore"):     # reported below
+                init_error = float(np.linalg.norm(
+                    x0 - predict_states(self.net, self.problem, x0, u, 0.0)[0]))
+            if not math.isfinite(init_error):
+                raise NumericError(f"initial error ||e(0)|| = {init_error} is not finite: "
+                                   "the network's state at t = 0 or its distance from x0 "
+                                   "overflows")
             K = estimate_K(delta, self.rate, self.problem.t_final, self.config.K_grid,
                            self.config.safety_factor)
             self._trajectories[key] = TrajectoryConstants(self, delta, init_error, K)

@@ -105,39 +105,55 @@ def assemble_inputs(layout, t, x0, u):
     return np.concatenate(cols, axis=1)
 
 
-def _forward_any(weights, biases, activation, x):
-    """Forward pass for any operand type (ndarray, Var, Dual)."""
-    act = ACTIVATIONS[activation]
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = act(h @ w.T + b)
-    return h @ weights[-1].T + biases[-1]
-
-
 def forward(net: Network, x, tape: Tape = None):
     """Evaluate the network on an input vector or a batch of rows.
 
-    ``x`` is an array or a ``Dual`` of arrays.  With a ``tape`` a fresh
-    :class:`MlpJet` evaluates the rows, with the ``Dual``'s derivative as its
-    tangent, and the output is tape leaves with that kernel recorded behind
-    them, so it is differentiable via :func:`parameter_gradient`.
+    ``x`` is an array or a ``Dual`` of arrays, whose derivative is the
+    tangent.  Without a ``tape`` one pass updates each layer's arrays in
+    place (:func:`_evaluate`).  With a ``tape`` a fresh :class:`MlpJet`
+    evaluates the rows and the output is tape leaves with that kernel recorded
+    behind them, so it is differentiable via :func:`parameter_gradient`.
+    Both give the same values bit for bit.
     """
     dual = isinstance(x, Dual)
-    if tape is not None and (isinstance(x, Var) or dual and (isinstance(x.value, Var)
-                                                             or isinstance(x.derivative, Var))):
-        raise UsageError("a taped forward takes array inputs, not taped values")
-    if not dual:
-        x = np.asarray(x, dtype=float)
-    shape = np.shape(x.value) if dual else x.shape
-    if shape[-1:] != (net.n_in,):
-        raise ShapeError(f"input of shape {shape} does not have the width {net.n_in}")
+    if isinstance(x, Var) or dual and (isinstance(x.value, Var) or isinstance(x.derivative, Var)):
+        raise UsageError("forward takes array inputs, not taped values")
+    value = np.asarray(x.value if dual else x, dtype=float)
+    tangent = np.asarray(x.derivative, dtype=float) if dual else None
+    if value.shape[-1:] != (net.n_in,):
+        raise ShapeError(f"input of shape {value.shape} does not have the width {net.n_in}")
     if tape is None:
-        return _forward_any(net.weights, net.biases, net.activation, x)
-    rows = np.atleast_2d(x.value if dual else x)
-    jet = MlpJet(net, rows, np.broadcast_to(x.derivative, rows.shape) if dual else None)
-    leaves = [y if y is None else tape.var(y.reshape(*shape[:-1], -1)) for y in jet.forward()]
+        y, yd = _evaluate(net, value, tangent)
+        return Dual(y, yd) if dual else y
+    rows = np.atleast_2d(value)
+    jet = MlpJet(net, rows, None if tangent is None else np.broadcast_to(tangent, rows.shape))
+    leaves = [y if y is None else tape.var(y.reshape(*value.shape[:-1], -1))
+              for y in jet.forward()]
     jet.record(tape, *leaves)
     return Dual(*leaves) if dual else leaves[0]
+
+
+def _evaluate(net: Network, x, tangent=None):
+    """(value, d/dt) of the output at inputs ``x`` with d/dt ``tangent``; d/dt
+    is None without one.  Each layer's product is a fresh array that the bias,
+    the activation and the tangent's slope then update in place, by the
+    arithmetic of :meth:`MlpJet.forward`, so the two agree bit for bit."""
+    last = len(net.weights) - 1
+    h, hd = x, tangent
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w.T
+        zd = None if hd is None else hd @ w.T
+        np.add(z, b, out=z)
+        if k == last:
+            return z, zd
+        if net.activation != "tanh":
+            z, s, _ = _JETS[net.activation](z)
+        else:
+            np.tanh(z, out=z)
+            if zd is not None:
+                s = np.multiply(z, z)
+                np.subtract(1.0, s, out=s)
+        h, hd = z, None if zd is None else np.multiply(s, zd, out=s)
 
 
 def forward_on_tape(tape: Tape, net: Network, x):

@@ -142,6 +142,31 @@ def test_certifier_rejects_negative_or_non_finite_L(L):
         Certifier(linear_time_net(-4.0, 2.0), decay_1d(), CertifyConfig(L=L))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_mean_residual_is_a_residual_overflow():
+    # the pinned net's outputs near 1e155: the squared residual norm overflows
+    net = load_network(PINNED_NET)
+    net.weights[-1] *= 1e155
+    net.biases[-1] *= 1e155
+    with pytest.raises(certify.ResidualOverflowError,
+                       match="mean residual norm over the 400 certification collocation "
+                             "points is inf"):
+        Certifier(net, inverted_pendulum())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_initial_error_is_a_numeric_failure():
+    # a constant state of 1e200 solves x' = 0 exactly, but ||e(0)||^2 overflows
+    net = Network([1, 1], [np.zeros((1, 1))], [np.array([1e200])], meta={"inputs": ["t"]})
+    certifier = Certifier(net, constant_problem(), CertifyConfig(colloc_count=20))
+    assert certifier.mean_residual == 0.0
+    with pytest.raises(NumericError, match=re.escape("initial error ||e(0)|| = inf")):
+        certifier.trajectory([0.5], ())
+    with pytest.raises(NumericError, match=re.escape("point 0 (t=0.5, x0=[0.5], u=[]): "
+                                                     "initial error ||e(0)|| = inf")):
+        certifier.certify([0.5], [[0.5]], np.zeros((1, 0)))
+
+
 def test_delta_dominates_residual_norm(quick_decay_net):
     problem = decay_1d()
     rfn = ResidualFn(quick_decay_net, problem, np.array([2.0]), np.zeros(0))
@@ -251,6 +276,77 @@ def test_lipschitz_names_the_first_non_finite_point():
     colloc.x0[[7, 30]] = 1.0
     with pytest.raises(DomainError, match="collocation point 7$"):
         estimate_lipschitz(p, colloc)
+
+
+def _stacked_jacobian_case(jacs, contiguous=True):
+    """A problem whose analytic Jacobian at collocation point i is jacs[i],
+    returned as a (d, d, N) copy or as a view of ``jacs``, and its points."""
+    n, d = jacs.shape[:2]
+    stacked = np.moveaxis(jacs, 0, -1)
+    if contiguous:
+        stacked = np.ascontiguousarray(stacked)
+    problem = OdeProblem(name="stacked", dim=d, rhs=lambda t, x, u: list(x), t_final=1.0,
+                         box=Box(t=(0, 1), x0=[(-1, 1)] * d),
+                         jacobian_x=lambda t, x, u: stacked)
+    return problem, PointSet(np.zeros(n), np.zeros((n, d)))
+
+
+def _full_lipschitz(problem, colloc):
+    """The unpruned estimate: one eigensolve of J^T J at every point."""
+    jac = np.moveaxis(rhs_jacobian(problem, colloc.t, colloc.x0.T, colloc.u.T), -1, 0)
+    return math.sqrt(max(float(np.max(np.linalg.eigvalsh(np.swapaxes(jac, 1, 2) @ jac))), 0.0))
+
+
+@st.composite
+def _jacobian_batches(draw):
+    """Batches of d x d Jacobians at one scale: dense and rank-1 matrices
+    (sigma_max = ||J||_F), zeros, and copies and row permutations of earlier
+    ones (tied or nearly tied maxima)."""
+    d = draw(st.integers(1, 5))
+    entries = st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)
+    mats = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["dense", "rank-1", "zero", "copy", "permuted"]))
+        if kind in ("copy", "permuted") and mats:
+            m = mats[draw(st.integers(0, len(mats) - 1))]
+            mats.append(m[draw(st.permutations(range(d)))] if kind == "permuted" else m)
+        elif kind == "rank-1":
+            mats.append(np.outer(draw(entries), draw(entries)))
+        elif kind == "zero":
+            mats.append(np.zeros((d, d)))
+        else:
+            mats.append(np.array([draw(entries) for _ in range(d)]))
+    return np.array(mats) * 10.0 ** draw(st.integers(-150, 150))
+
+
+@given(jacs=_jacobian_batches(), contiguous=st.booleans())
+def test_pruned_lipschitz_equals_the_full_eigensolve(jacs, contiguous):
+    problem, colloc = _stacked_jacobian_case(jacs, contiguous)
+    assert estimate_lipschitz(problem, colloc) == _full_lipschitz(problem, colloc)
+
+
+def test_lipschitz_eigensolves_only_the_points_that_can_hold_the_max(monkeypatch):
+    pendulum = inverted_pendulum()
+    colloc = sample_collocation(pendulum, 4000, 0)
+    full, original, solved = _full_lipschitz(pendulum, colloc), np.linalg.eigvalsh, []
+
+    def eigvalsh(a):
+        solved.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert estimate_lipschitz(pendulum, colloc) == full
+    assert len(solved) == 1 and solved[0] <= 10
+
+
+def test_lipschitz_checks_every_point_before_pruning():
+    # the NaN point would not be eigensolved: a finite point dwarfs the rest
+    jacs = np.ones((8, 2, 2))
+    jacs[5] *= 1e10
+    jacs[3, 1, 0] = np.nan
+    jacs[6, 0, 0] = np.inf
+    with pytest.raises(DomainError, match="collocation point 3$"):
+        estimate_lipschitz(*_stacked_jacobian_case(jacs))
 
 
 def _power_iteration_sigma_max(j, iters=500):
@@ -380,6 +476,17 @@ def test_trapezoid_grid_past_the_array_limit_is_a_numeric_failure():
             trapezoid_bound_integral(one, -2.0, 1.0, n, 1.0)
     with pytest.raises(NumericError, match=r"t = 0.5, n = 1e\+30$"):
         trapezoid_bound_integral(one, -2.0, [1.0, 0.5], [4, 10 ** 30], 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trapezoid_grid_past_memory_is_a_numeric_failure():
+    # addressable but far beyond any memory: numpy refuses the allocation at once
+    one = lambda s: np.ones_like(np.atleast_1d(s))
+    with pytest.raises(NumericError, match=re.escape(
+            "does not fit in memory at rate -2.0, t = 1.0, n = 5.76e+17")):
+        trapezoid_bound_integral(one, -2.0, 1.0, 2 ** 59, 1.0)
+    with pytest.raises(NumericError, match=r"at rate 3.0, t = 0.5, n = 2.88e\+17$"):
+        trapezoid_bound_integral(one, 3.0, [0.0, 1.0, 0.5], [4, 8, 2 ** 58], 1.0)
 
 
 @given(cases=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),

@@ -434,6 +434,35 @@ def test_overflowing_residual_exits_3_naming_the_trajectory(tmp_path, capsys):
     assert "mu > 0" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_mean_residual_exits_3_naming_it(tmp_path, capsys):
+    # outputs near 1e155 overflow the squared residual norm at every point
+    path, schedule = tiny_pendulum_setup(tmp_path)
+    net_path = tmp_path / "out" / "network.json"
+    net = load_network(net_path)
+    net.weights[-1] *= 1e155
+    net.biases[-1] = np.full(4, 1e155)
+    save_network(net, net_path)
+    assert main(["certify", "--config", str(path), "--schedule", str(schedule),
+                 "--intervals", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "mean residual norm over the 40 certification collocation points is inf" in err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trapezoid_grid_past_memory_exits_3(tmp_path, capsys):
+    path, schedule = tiny_pendulum_setup(tmp_path)
+    cfg = load_config(path)
+    cfg.n_override = 2 ** 58
+    save_config(cfg, path)
+    assert main(["certify", "--config", str(path), "--schedule", str(schedule),
+                 "--intervals", "1", "--times-per-interval", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "does not fit in memory" in err and "t = 0.08, n = 2.88e+17" in err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
+
+
 def test_schedule_matches_direct_generation(tmp_path):
     sched_path = tmp_path / "schedule.csv"
     main(["schedule", str(sched_path)])

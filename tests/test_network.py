@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from pinncert.autodiff import ACTIVATIONS, Dual, Tape, UsageError
-from pinncert.network import (MlpJet, Network, ShapeError, _forward_any, flatten_params,
+from pinncert.network import (MlpJet, Network, ShapeError, flatten_params,
                               forward, forward_on_tape, init_network,
                               input_jacobian, load_network, parameter_gradient,
                               save_network, set_params, time_tangent)
-from tape_reference import BoundWeights
+from tape_reference import BoundWeights, _forward_any
 
 
 def reference_forward(net, x):
@@ -256,6 +256,53 @@ def test_forward_rejects_a_0d_input_naming_the_width():
         for tape in (None, Tape()):
             with pytest.raises(ShapeError, match=r"shape \(\) does not have the width 1"):
                 forward(net, x, tape)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dims", [[6, 32, 32, 4], [3, 2]], ids=["hidden", "no-hidden"])
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_untaped_forward_equals_the_kernel_bit_for_bit(activation, dims):
+    # the in-place pass against MlpJet on one-row to 600-row batches; for
+    # tanh also against the generic evaluator on the plain weights
+    net = init_network(dims, activation, seed=4)
+    rng = np.random.default_rng(5)
+    for rows in (1, 2, 3, 5, 16, 17, 64, 101, 201, 600):
+        x = rng.uniform(-2.0, 2.0, size=(rows, net.n_in))
+        tangent = rng.uniform(-1.0, 1.0, size=x.shape)
+        y = forward(net, x)
+        out = forward(net, Dual(x, tangent))
+        assert _same_bits(y, MlpJet(net, x).forward()[0])
+        want, want_dot = MlpJet(net, x, tangent).forward()
+        assert _same_bits(out.value, want) and _same_bits(out.derivative, want_dot)
+        assert _same_bits(forward(net, Dual(x, time_tangent(x))).derivative,
+                          MlpJet(net, x, time_tangent(x)).forward()[1])
+        if activation == "tanh":
+            assert _same_bits(y, _forward_any(net.weights, net.biases, "tanh", x))
+            reference = _forward_any(net.weights, net.biases, "tanh", Dual(x, tangent))
+            assert _same_bits(out.value, reference.value)
+            assert _same_bits(out.derivative, reference.derivative)
+    # a 1-D input gives the one-row batch's output as a vector
+    row = forward(net, Dual(x[:1], tangent[:1]))
+    one = forward(net, Dual(x[0], tangent[0]))
+    assert _same_bits(forward(net, x[0]), row.value[0]) and _same_bits(one.value, row.value[0])
+    assert _same_bits(one.derivative, row.derivative[0])
+
+
+def test_untaped_forward_leaves_its_inputs_unchanged_and_rejects_taped_values():
+    net = init_network([2, 5, 3], seed=0)
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 2))
+    tangent = time_tangent(x)
+    kept = x.copy(), tangent.copy()
+    forward(net, Dual(x, tangent))
+    forward(net, x)
+    assert _same_bits(x, kept[0]) and _same_bits(tangent, kept[1])
+    tape = Tape()
+    for taped in (tape.var(x), Dual(tape.var(x), x), Dual(x, tape.var(x))):
+        with pytest.raises(UsageError, match="not taped values"):
+            forward(net, taped)
 
 
 def test_gradient_on_unrecorded_scalar_raises():
