@@ -29,10 +29,6 @@ class DomainError(ValueError):
     pass
 
 
-class DegenerateSmoothingError(NumericError):
-    """K estimation hit a non-finite second derivative; use mu > 0."""
-
-
 class ResidualOverflowError(NumericError):
     """The mean residual, or the residual majorant delta on the time horizon,
     is not finite."""
@@ -99,8 +95,8 @@ class SmoothDelta:
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ConfigurationError("mu must be non-negative")
+        if not 0 <= self.mu < math.inf:
+            raise ConfigurationError(f"mu must be finite and >= 0, got {self.mu}")
 
     def __call__(self, t):
         r = self.residual_fn.norms(np.atleast_1d(t))
@@ -135,7 +131,8 @@ def rhs_jacobian(problem: OdeProblem, t, x, u):
 
 
 def estimate_lipschitz(problem: OdeProblem, colloc: PointSet):
-    """L = max over collocation points of sigma_max(df/dx)."""
+    """L = max over collocation points of sigma_max(df/dx); a point whose
+    sigma_max^2 leaves the float range is a :class:`NumericError` naming it."""
     if len(colloc) == 0:
         raise ConfigurationError("empty collocation set")
     # one Jacobian call on batch columns, batch axis moved first: (N, d, d)
@@ -148,11 +145,17 @@ def estimate_lipschitz(problem: OdeProblem, colloc: PointSet):
     # norm reaches the largest column norm (less a margin far above the
     # rounding of either side) can hold the max, and one stacked symmetric
     # eigensolve of theirs finds it; each point's J^T J and eigenvalues do not
-    # depend on which other points share the batch
-    columns = np.einsum("nij,nij->nj", jac, jac)
-    held = jac[columns.sum(axis=1) >= (1.0 - 1e-9) * float(np.max(columns))
-               - np.finfo(float).tiny]
-    eigs = np.linalg.eigvalsh(np.swapaxes(held, 1, 2) @ held)
+    # depend on which other points share the batch.  Every point whose
+    # sigma_max^2 can overflow has an infinite Frobenius norm, so is held
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below
+        columns = np.einsum("nij,nij->nj", jac, jac)
+        held = np.flatnonzero(columns.sum(axis=1) >= (1.0 - 1e-9) * float(np.max(columns))
+                              - np.finfo(float).tiny)
+        eigs = np.linalg.eigvalsh(np.swapaxes(jac[held], 1, 2) @ jac[held])
+    bad = ~np.isfinite(eigs).all(axis=1)
+    if bad.any():
+        raise NumericError(f"sigma_max(df/dx)^2 overflows at collocation point "
+                           f"{int(held[np.argmax(bad)])}")
     return math.sqrt(max(float(np.max(eigs)), 0.0))
 
 
@@ -161,19 +164,24 @@ def spectral_abscissa(a):
     return float(np.max(np.real(np.linalg.eigvals(np.asarray(a, dtype=float)))))
 
 
-DEFAULT_SAFETY_FACTOR = 1.5
+# the certification policy: E_Int's budget as a fraction of the a-priori error
+# estimate, mu as a fraction of the mean residual, and K's grid and margin
+EPS = 0.33
+MU_FRACTION = 0.1
+K_GRID = 200
+SAFETY_FACTOR = 1.5
 
 
-def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FACTOR):
+def estimate_K(delta, L, t_end, grid_points=K_GRID, safety_factor=SAFETY_FACTOR):
     """Bound on |d^2/ds^2 (e^{-Ls} delta(s))| over [0, t_end].
 
     Central second differences on a uniform grid, scaled by a safety
     factor.  The stencil reaches slightly outside [0, t_end] at the ends;
     the network extends smoothly so this is well defined.  A non-finite
     delta on the grid raises :class:`ResidualOverflowError`; a NaN delta at
-    a stencil end raises :class:`DegenerateSmoothingError`; a damped
-    integrand that overflows, as e^{-Ls} does for a strongly negative rate,
-    raises :class:`NumericError` naming the rate.
+    a stencil point, or a damped integrand that overflows, as e^{-Ls} does
+    for a strongly negative rate, raises :class:`NumericError` naming the
+    point or the rate.
     """
     require_int("grid_points", grid_points, 10)
     if t_end == 0.0:
@@ -194,10 +202,14 @@ def estimate_K(delta, L, t_end, grid_points=200, safety_factor=DEFAULT_SAFETY_FA
         lo, hi = g(s - h), g(s + h)
         second = (lo - 2.0 * (np.exp(-L * s) * mid) + hi) / (h * h)
     if not np.all(np.isfinite(second)):
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise DegenerateSmoothingError(
-                "second derivative of the damped residual majorant is not finite; "
-                "use a smoothing parameter mu > 0")
+        stencil = np.concatenate([s - h, s + h])
+        nan = stencil[np.isnan(np.atleast_1d(delta(stencil)))]
+        if nan.size:
+            p = float(np.min(nan))
+            where = "" if 0.0 <= p <= t_end else f" outside [0, {t_end}]"
+            raise NumericError(f"residual majorant delta(s) is NaN at the stencil point "
+                               f"s = {p}{where} of K's second difference: the residual "
+                               "is NaN there")
         raise NumericError(f"damped residual majorant e^(-rate*s) delta(s) or its second "
                            f"difference overflows at rate {L} on [0, {t_end}]")
     return safety_factor * float(np.max(np.abs(second)))
@@ -286,8 +298,8 @@ def subinterval_count(t, init_error, L, K, mean_residual, eps):
     e_exp = expected_ml_error(t, init_error, L, mean_residual)
     if e_exp == 0.0:
         raise ConfigurationError(
-            "expected ML error is zero with K > 0: required subintervals are "
-            "unbounded; use mu > 0 or another eps policy")
+            f"expected ML error is zero with K = {K} > 0, from ||e(0)|| = {init_error} "
+            f"and mean residual {mean_residual}: no subinterval count meets eps times it")
     need = math.sqrt(_growth(L, t) * K * t ** 3 / (12.0 * e_exp * eps))
     if not math.isfinite(need):
         raise NumericError(f"trapezoid subinterval count is not finite at rate {L}, t = {t}")
@@ -310,33 +322,23 @@ class Certificate:
 
 @dataclass
 class CertifyConfig:
-    eps: float = 0.33               # E_Int budget as a fraction of E_ML^exp
-    mu: float = None                # None: a tenth of the mean residual
-    K_grid: int = 200
-    safety_factor: float = DEFAULT_SAFETY_FACTOR
     L: float = None                 # growth rate override; None: log-norm or sampled L
-    n: int = None                   # explicit trapezoid subintervals
     colloc_count: int = 400         # sampling density for L / mean residual
     colloc_seed: int = 1
 
     def validate(self):
-        if self.mu is not None and not 0 <= self.mu < math.inf:
-            raise ConfigurationError(f"mu must be None or finite and >= 0, got {self.mu}")
         if self.L is not None and not 0 <= self.L < math.inf:
             raise ConfigurationError(f"L override must be finite and >= 0, got {self.L}")
-        if not (self.eps > 0 and self.safety_factor >= 1):
-            raise ConfigurationError("need eps > 0 and safety_factor >= 1")
-        for key, minimum in (("K_grid", 10), ("colloc_count", 1), ("colloc_seed", 0)):
+        for key, minimum in (("colloc_count", 1), ("colloc_seed", 0)):
             require_int(key, getattr(self, key), minimum)
-        if self.n is not None:
-            require_int("n", self.n, 1)
 
 
 class Certifier:
     """The per-network constants of the certificate, computed once: the
     growth rate, the mean residual over the certification collocation and
-    mu.  :meth:`trajectory` adds the per-(x0, u) constants, once per
-    distinct (x0, u); :meth:`certify` certifies a batch of query points.
+    mu = MU_FRACTION times it.  :meth:`trajectory` adds the per-(x0, u)
+    constants, once per distinct (x0, u); :meth:`certify` certifies a batch
+    of query points.
 
     The rate is ``config.L`` if set (source ``override``), else the
     logarithmic norm mu_2(A) = lambda_max((A + A^T) / 2) of the problem's
@@ -364,7 +366,7 @@ class Certifier:
             raise ResidualOverflowError(
                 f"mean residual norm over the {len(colloc)} certification collocation points "
                 f"is {self.mean_residual}: the residual or its squared norm overflows")
-        self.mu = 0.1 * self.mean_residual if config.mu is None else float(config.mu)
+        self.mu = MU_FRACTION * self.mean_residual
         self._trajectories = {}
 
     def trajectory(self, x0, u, times=()) -> TrajectoryConstants:
@@ -386,8 +388,7 @@ class Certifier:
                 raise NumericError(f"initial error ||e(0)|| = {init_error} is not finite: "
                                    "the network's state at t = 0 or its distance from x0 "
                                    "overflows")
-            K = estimate_K(delta, self.rate, self.problem.t_final, self.config.K_grid,
-                           self.config.safety_factor)
+            K = estimate_K(delta, self.rate, self.problem.t_final)
             self._trajectories[key] = TrajectoryConstants(self, delta, init_error, K)
         return self._trajectories[key].integrate(times)
 
@@ -428,12 +429,10 @@ class TrajectoryConstants:
     quadrature: dict = field(default_factory=dict, repr=False)
 
     def subintervals(self, t):
-        """Trapezoid subintervals at time t: the configured n, else the eps rule."""
-        c, config = self.certifier, self.certifier.config
-        if config.n is not None:
-            return config.n
+        """Trapezoid subintervals at time t, by the eps rule."""
+        c = self.certifier
         return subinterval_count(t, self.init_error, max(c.rate, 1e-6), self.K,
-                                 c.mean_residual, config.eps)
+                                 c.mean_residual, EPS)
 
     def integrate(self, times) -> TrajectoryConstants:
         """Add the subinterval count and trapezoid of each new time inside
@@ -452,7 +451,7 @@ class TrajectoryConstants:
 def bound(traj: TrajectoryConstants, t) -> Certificate:
     """E_init + I_hat + E_Int at time t; n and the trapezoid, the only parts
     that depend on t, are read from the trajectory's quadrature."""
-    c, config = traj.certifier, traj.certifier.config
+    c = traj.certifier
     if not (0.0 <= t <= c.problem.t_final):
         raise DomainError(f"t={t} outside the time horizon [0, {c.problem.t_final}]")
     if float(t) not in traj.quadrature:
@@ -463,8 +462,7 @@ def bound(traj: TrajectoryConstants, t) -> Certificate:
     if not math.isfinite(total):
         raise NumericError(f"certificate at t = {t} is not finite (rate {c.rate}): "
                            f"E_init {e_init}, I_hat {i_hat}, E_Int {e_int}")
-    constants = {"eps": config.eps, "K_grid": config.K_grid,
-                 "safety_factor": config.safety_factor, "rate": c.rate,
+    constants = {"eps": EPS, "K_grid": K_GRID, "safety_factor": SAFETY_FACTOR, "rate": c.rate,
                  "rate_source": c.rate_source, "K": traj.K, "n_subintervals": n,
                  "mu": c.mu, "mean_residual": c.mean_residual}
     return Certificate(t=float(t), e_init=e_init, i_hat=i_hat, e_int=e_int,

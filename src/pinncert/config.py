@@ -17,13 +17,12 @@ from .train import TrainingRun
 PRESETS = ("decay1d", "pendulum")
 
 
-@dataclass
+@dataclass(slots=True)
 class ExperimentConfig:
     # experiment
     preset: str = "decay1d"
     seed: int = 0
     out_dir: str = "out"
-    desk_scale: bool = True
     # network
     hidden: list = field(default_factory=lambda: [4, 4])
     activation: str = "tanh"
@@ -36,12 +35,7 @@ class ExperimentConfig:
     colloc_count: int = 200
     data_count: int = 1
     # certification
-    eps: float = CertifyConfig.eps
-    mu: float = CertifyConfig.mu
-    K_grid: int = CertifyConfig.K_grid
-    safety_factor: float = CertifyConfig.safety_factor
     L_override: float = CertifyConfig.L
-    n_override: int = CertifyConfig.n
     cert_colloc_count: int = CertifyConfig.colloc_count
     query_points: int = 101
     # surrogate
@@ -94,10 +88,10 @@ def preset_config(name, seed=None, desk_scale=True) -> ExperimentConfig:
     """
     if name == "decay1d":
         return ExperimentConfig(preset="decay1d", seed=1 if seed is None else seed,
-                                gamma_data=0.1, desk_scale=desk_scale)
+                                gamma_data=0.1)
     if name == "pendulum":
         cfg = ExperimentConfig(
-            preset="pendulum", seed=0 if seed is None else seed, desk_scale=desk_scale,
+            preset="pendulum", seed=0 if seed is None else seed,
             hidden=[32, 32, 32, 32], activation="tanh",
             optimizer="lbfgs", epochs=100000, lr=3e-3,
             colloc_count=10000, data_count=50,
@@ -118,19 +112,17 @@ def preset_config(name, seed=None, desk_scale=True) -> ExperimentConfig:
 
 
 _SECTIONS = {
-    "experiment": ["preset", "seed", "out_dir", "desk_scale"],
+    "experiment": ["preset", "seed", "out_dir"],
     "network": ["hidden", "activation"],
     "training": ["optimizer", "epochs", "lr", "gamma_data", "gamma_phys",
                  "colloc_count", "data_count"],
-    "certify": ["eps", "mu", "K_grid", "safety_factor", "L_override", "n_override",
-                "cert_colloc_count", "query_points"],
+    "certify": ["L_override", "cert_colloc_count", "query_points"],
     "surrogate": ["surr_count", "surr_hidden", "surr_under_weight",
                   "surr_optimizer", "surr_epochs", "surr_lr", "surr_holdout"],
 }
 
 # a key's reader, by its field's type; only a field that defaults to None may be empty
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-_PARSERS = {int: int, float: float, str: str, bool: lambda raw: _BOOLS[raw.lower()],
+_PARSERS = {int: int, float: float, str: str,
             list: lambda raw: [int(x) for x in raw.split(",") if x.strip()]}
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
@@ -150,7 +142,7 @@ def save_config(cfg: ExperimentConfig, path):
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    parser.optionxform = str   # keys are case sensitive (K_grid, L_override)
+    parser.optionxform = str   # keys are case sensitive (L_override)
     if not parser.read(path):
         raise ConfigurationError(f"cannot read config file {path}")
     cfg = ExperimentConfig()
@@ -168,7 +160,7 @@ def load_config(path) -> ExperimentConfig:
             else:
                 try:
                     value = _PARSERS[_FIELDS[key].type](raw)
-                except (KeyError, ValueError):
+                except ValueError:
                     raise ConfigurationError(f"{key} in [{section}]: cannot read {raw!r}") from None
             setattr(cfg, key, value)
     cfg.validate()
@@ -182,10 +174,8 @@ def build_training_run(cfg: ExperimentConfig) -> TrainingRun:
 
 
 def certify_config(cfg: ExperimentConfig) -> CertifyConfig:
-    return CertifyConfig(
-        eps=cfg.eps, mu=cfg.mu, K_grid=cfg.K_grid, safety_factor=cfg.safety_factor,
-        L=cfg.L_override, n=cfg.n_override,
-        colloc_count=cfg.cert_colloc_count, colloc_seed=cfg.seed + 17)
+    return CertifyConfig(L=cfg.L_override, colloc_count=cfg.cert_colloc_count,
+                         colloc_seed=cfg.seed + 17)
 
 
 def surrogate_run(cfg: ExperimentConfig) -> TrainingRun:

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pinncert.certify import (Certificate, Certifier, CertifyConfig,
-                              DegenerateSmoothingError, DomainError, ResidualFn,
-                              SmoothDelta, actual_error, bound, bound_linear,
-                              bound_nonlinear, estimate_K, estimate_lipschitz,
+from pinncert.certify import (EPS, MU_FRACTION, Certificate, Certifier, CertifyConfig,
+                              DomainError, ResidualFn, SmoothDelta, actual_error, bound,
+                              bound_linear, bound_nonlinear, estimate_K, estimate_lipschitz,
                               export_certificates, mean_residual_norm, predict_states,
                               rhs_jacobian, spectral_abscissa, subinterval_count,
                               trapezoid_bound_integral)
@@ -62,7 +61,7 @@ def test_residual_symbolic_hand_case():
 
 def test_certifier_bound_outside_horizon_rejected():
     net = linear_time_net(-4.0, 2.0)
-    cfg = CertifyConfig(mu=0.1, colloc_count=20)
+    cfg = CertifyConfig(colloc_count=20)
     traj = Certifier(net, decay_1d(), cfg).trajectory([2.0], ())
     with pytest.raises(DomainError):
         bound(traj, 2.5)
@@ -109,24 +108,19 @@ def test_certifier_mu_policies():
     colloc = sample_collocation(problem, 30, seed=4)
     tenth = Certifier(net, problem, CertifyConfig(colloc_count=30, colloc_seed=4))
     assert tenth.mean_residual == pytest.approx(np.mean(8.0 * colloc.t), rel=1e-12)
-    assert tenth.mu == 0.1 * tenth.mean_residual
-    for mu in (0.5, 0.0):
-        # a set mu is used as given, whatever the mean residual
-        fixed = Certifier(net, problem, CertifyConfig(mu=mu, colloc_count=30, colloc_seed=4))
-        assert fixed.mu == mu and fixed.mean_residual == tenth.mean_residual
+    assert MU_FRACTION == 0.1 and tenth.mu == 0.1 * tenth.mean_residual
+    assert tenth.trajectory([2.0], ()).delta.mu == tenth.mu
+    # an exact network has mean residual 0, so mu = 0
+    assert Certifier(linear_time_net(0.0, 0.5), constant_problem(),
+                     CertifyConfig(colloc_count=20)).mu == 0.0
+    rfn = ResidualFn(net, problem, np.array([2.0]), np.zeros(0))
     for bad in (-1.0, -1e-300, math.nan, math.inf):
-        with pytest.raises(ConfigurationError, match="mu must be"):
-            Certifier(net, problem, CertifyConfig(mu=bad))
+        with pytest.raises(ConfigurationError, match="mu must be finite and >= 0"):
+            SmoothDelta(rfn, mu=bad)
 
 
 @pytest.mark.parametrize("overrides", [
-    {"safety_factor": 0.5},         # K below the sampled second difference
-    {"eps": -1.0, "n": 8},          # eps is checked even when n makes it unused
-    {"n": 0},
-    {"n": 4.0},
-    {"K_grid": 200.0},              # counts and seeds that are not ints used to fail in numpy
-    {"K_grid": True},
-    {"colloc_count": 10.0},
+    {"colloc_count": 10.0},         # counts and seeds that are not ints used to fail in numpy
     {"colloc_seed": 1.5},
     {"colloc_seed": -1},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
@@ -349,6 +343,47 @@ def test_lipschitz_checks_every_point_before_pruning():
         estimate_lipschitz(*_stacked_jacobian_case(jacs))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, first", [(1e155, 2), (1e200, 2), (1e150, None)])
+def test_overflowing_lipschitz_names_the_first_point(scale, first):
+    # J^T J of a scaled 2 x 2 block of ones overflows past a scale of about 1e154
+    jacs = np.ones((6, 2, 2))
+    jacs[[2, 4]] *= scale
+    case = _stacked_jacobian_case(jacs)
+    if first is None:       # a finite L is the full eigensolve's, bit for bit
+        assert estimate_lipschitz(*case) == _full_lipschitz(*case)
+        assert estimate_lipschitz(*case) == pytest.approx(2.0 * scale, rel=1e-12)
+        return
+    with pytest.raises(NumericError, match=re.escape(
+            f"sigma_max(df/dx)^2 overflows at collocation point {first}") + "$"):
+        estimate_lipschitz(*case)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lipschitz_overflow_is_judged_by_sigma_max_not_the_frobenius_norm():
+    # diag(1e154, 1e154): ||J||_F^2 overflows but sigma_max^2 = 1e308 does not;
+    # a row of two 1e154 has finite J^T J entries but sigma_max^2 = 2e308
+    diag = np.array([[[1e154, 0.0], [0.0, 1e154]], [[1.0, 0.0], [0.0, 1.0]]])
+    assert estimate_lipschitz(*_stacked_jacobian_case(diag)) == 1e154
+    row = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1e154, 1e154], [0.0, 0.0]]])
+    with pytest.raises(NumericError, match="overflows at collocation point 1$"):
+        estimate_lipschitz(*_stacked_jacobian_case(row))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_lipschitz_fails_certification_naming_it():
+    # it used to give a NaN rate, reported later as a smoothing failure of K
+    problem = OdeProblem(name="steep", dim=2, rhs=lambda t, x, u: [0.0 * x[0], 0.0 * x[1]],
+                         t_final=1.0, box=Box(t=(0.0, 1.0), x0=[(-1.0, 1.0)] * 2),
+                         jacobian_x=lambda t, x, u: np.full((2, 2), 1e155))
+    net = Network([1, 2], [np.zeros((2, 1))], [np.zeros(2)], meta={"inputs": ["t"]})
+    with pytest.raises(NumericError, match=re.escape(
+            "sigma_max(df/dx)^2 overflows at collocation point 0")) as info:
+        Certifier(net, problem, CertifyConfig(colloc_count=20)).certify(
+            [0.5], [[0.1, 0.2]], np.zeros((1, 0)))
+    assert "mu" not in str(info.value)
+
+
 def _power_iteration_sigma_max(j, iters=500):
     v = np.ones(j.shape[1]) / math.sqrt(j.shape[1])
     m = j.T @ j
@@ -403,10 +438,13 @@ def test_estimate_K_validates_grid():
 
 
 def test_estimate_K_degenerate_smoothing_reported():
-    # sqrt(s) is NaN just left of 0, which the stencil reaches
+    # sqrt(s) is NaN just left of 0, which the stencil reaches; no mu can
+    # smooth a NaN residual, so the message names the point instead
     with np.errstate(invalid="ignore"):
-        with pytest.raises(DegenerateSmoothingError):
+        with pytest.raises(NumericError, match=re.escape(
+                "delta(s) is NaN at the stencil point s = -0.0005 outside [0, 1.0]")) as info:
             estimate_K(lambda s: np.sqrt(np.atleast_1d(s)), L=1.0, t_end=1.0)
+    assert "mu" not in str(info.value)
 
 
 # -- certified quadrature -------------------------------------------------
@@ -542,7 +580,7 @@ def test_subintervals_validation():
 def test_nonlinear_bound_zero_when_exact():
     problem = constant_problem()
     net = linear_time_net(0.0, 0.5)   # exact: x' = 0, x(0) = 0.5
-    cfg = CertifyConfig(mu=0.0, L=2.0, colloc_count=20)
+    cfg = CertifyConfig(L=2.0, colloc_count=20)
     cert = bound_nonlinear(net, problem, [0.5], (), 1.0, cfg)
     assert cert.total == pytest.approx(0.0, abs=1e-12)
 
@@ -551,7 +589,7 @@ def test_nonlinear_bound_initial_error_closed_form():
     # only the initial error contributes: total = 0.1 e^2
     problem = constant_problem()
     net = linear_time_net(0.0, 0.5)
-    cfg = CertifyConfig(mu=0.0, L=2.0, colloc_count=20)
+    cfg = CertifyConfig(L=2.0, colloc_count=20)
     cert = bound_nonlinear(net, problem, [0.6], (), 1.0, cfg)
     assert cert.e_init == pytest.approx(0.1 * math.e ** 2, rel=1e-9)
     assert cert.total == pytest.approx(0.1 * math.e ** 2, rel=1e-9)
@@ -562,15 +600,14 @@ def test_bound_rejects_time_outside_horizon():
     problem = constant_problem()
     net = linear_time_net(0.0, 0.5)
     with pytest.raises(DomainError):
-        bound_nonlinear(net, problem, [0.5], (), 1.5,
-                        CertifyConfig(mu=0.0, L=1.0))
+        bound_nonlinear(net, problem, [0.5], (), 1.5, CertifyConfig(L=1.0))
 
 
 def test_linear_bound_identity_semigroup():
     # A = 0, delta = 0: total = ||e(0)|| at every t
     problem = constant_problem(linear=True)
     net = linear_time_net(0.0, 0.5)
-    cfg = CertifyConfig(mu=0.0, colloc_count=20)
+    cfg = CertifyConfig(colloc_count=20)
     for t in (0.0, 0.5, 1.0):
         cert = bound_linear(net, problem, [0.8], (), t, cfg)
         assert cert.total == pytest.approx(0.3, rel=1e-12)
@@ -579,19 +616,22 @@ def test_linear_bound_identity_semigroup():
 
 
 def test_linear_bound_decay_closed_form():
-    # zero net on x' = -2x with explicit mu = c: the exact bound value is
-    # e^{-2t}||e0|| + c (1 - e^{-2t}) / 2, and the trapezoid overestimates it
+    # zero net on x' = -2x with mu = c and 64 subintervals: the exact bound
+    # value is e^{-2t}||e0|| + c (1 - e^{-2t}) / 2, and the trapezoid
+    # overestimates it
     problem = decay_1d()
     net = linear_time_net(0.0, 0.0)
     c = 0.3
-    cfg = CertifyConfig(mu=c, colloc_count=20, n=64)
+    delta = SmoothDelta(ResidualFn(net, problem, [2.0], ()), mu=c)
+    K = estimate_K(delta, -2.0, problem.t_final)
     for t in (0.5, 1.0, 2.0):
-        cert = bound_linear(net, problem, [2.0], (), t, cfg)
-        closed = math.exp(-2.0 * t) * 2.0 + c * (1.0 - math.exp(-2.0 * t)) / 2.0
-        assert cert.e_init + cert.i_hat >= closed - 1e-12
-        assert cert.e_init + cert.i_hat == pytest.approx(closed, rel=1e-3)
+        i_hat, e_int = trapezoid_bound_integral(delta, -2.0, t, 64, K)
+        e_init = math.exp(-2.0 * t) * 2.0
+        closed = e_init + c * (1.0 - math.exp(-2.0 * t)) / 2.0
+        assert e_init + i_hat >= closed - 1e-12
+        assert e_init + i_hat == pytest.approx(closed, rel=1e-3)
         # the actual error of the zero net is exactly 2 e^{-2t}
-        assert cert.total >= 2.0 * math.exp(-2.0 * t) - 1e-12
+        assert e_init + i_hat + e_int >= 2.0 * math.exp(-2.0 * t) - 1e-12
 
 
 def test_linear_bound_uses_spectral_abscissa_on_decay(quick_decay_net):
@@ -626,7 +666,7 @@ def test_jordan_block_certifies_with_its_log_norm():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     net = Network([1, 2], [np.zeros((2, 1))], [np.zeros(2)], meta={"inputs": ["t"]})
     cert = bound_linear(net, linear_problem(a), [0.1, 0.1], (), 0.5,
-                        CertifyConfig(mu=0.1, colloc_count=20))
+                        CertifyConfig(colloc_count=20))
     assert cert.constants_used["rate"] == pytest.approx(1.5, rel=1e-12)
     assert cert.constants_used["rate_source"] == "linear_part"
     assert math.isfinite(cert.total) and cert.total >= 0.0
@@ -656,7 +696,7 @@ def test_log_norm_rate_bounds_the_matrix_exponential(n, seed, scale, t):
     a = scale * np.random.default_rng(seed).normal(size=(n, n))
     net = Network([1, n], [np.zeros((n, 1))], [np.zeros(n)], meta={"inputs": ["t"]})
     rate = Certifier(net, linear_problem(a, t_final=2.0),
-                     CertifyConfig(mu=0.0, colloc_count=10)).rate
+                     CertifyConfig(colloc_count=10)).rate
     assert np.linalg.norm(expm(a * t), 2) <= math.exp(rate * t) * (1.0 + 1e-12)
 
 
@@ -680,15 +720,14 @@ def test_linear_and_lipschitz_routes_agree_on_scaled_identity():
             (non.e_init, non.i_hat, non.e_int, non.total)
 
 
-@pytest.mark.parametrize("L", [None, 2.0], ids=lambda L: f"L={L}")
-def test_zero_expected_error_with_curvature_raises(L):
-    # the zero net solves x' = -2x from x0 = 0 exactly, so the mean residual
-    # and the initial error vanish, while mu > 0 gives the damped majorant
-    # curvature: no finite n meets the E_Int budget, at either rate source
-    cfg = CertifyConfig(mu=0.3, L=L, colloc_count=20)
-    traj = Certifier(linear_time_net(0.0, 0.0), decay_1d(), cfg).trajectory([0.0], ())
-    with pytest.raises(ConfigurationError, match="expected ML error is zero"):
-        bound(traj, 1.0)
+def test_zero_expected_error_with_curvature_raises():
+    # ||e(0)|| = 0 and a mean residual of 0 make the a-priori estimate zero,
+    # while K > 0: no finite n meets the E_Int budget, and no mu enters it
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "expected ML error is zero with K = 5.0 > 0, from ||e(0)|| = 0.0 and mean "
+            "residual 0.0")) as info:
+        subinterval_count(1.0, 0.0, 2.0, 5.0, 0.0, EPS)
+    assert "mu" not in str(info.value)
 
 
 def test_bound_dispatch(quick_decay_net):
@@ -724,7 +763,7 @@ def test_certifier_reproduces_bound_linear_on_decay(quick_decay_net):
 def test_certifier_reproduces_bound_nonlinear_on_pendulum():
     problem = inverted_pendulum()
     net = init_network([6, 8, 4], seed=2, meta={"inputs": ["t", "x0", "u"]})
-    cfg = CertifyConfig(colloc_count=50, K_grid=40)
+    cfg = CertifyConfig(colloc_count=50)
     x0, u = np.array([0.1, -0.2, 0.05, 0.3]), np.array([2.0])
     traj = Certifier(net, problem, cfg).trajectory(x0, u)
     for t in np.linspace(0.0, problem.t_final, 4):
@@ -875,7 +914,7 @@ def test_certify_failure_names_the_point_and_keeps_its_class(quick_decay_net):
     with pytest.raises(ConfigurationError, match="2 times but 1 x0 and 2 u rows"):
         certifier.certify([0.5, 1.0], [[2.0]], np.zeros((2, 0)))
     pendulum = Certifier(_pendulum_net(), inverted_pendulum(),
-                         CertifyConfig(colloc_count=20, K_grid=40))
+                         CertifyConfig(colloc_count=20))
     x0 = np.array([[0.1, 0.0, 0.0, 0.0]] * 4)
     u = np.array([[1.0], [1e300], [1.0], [1e300]])
     with warnings.catch_warnings():
@@ -901,7 +940,7 @@ def test_strongly_contracting_linear_part_is_a_numeric_failure(rate, message):
     with pytest.raises(NumericError, match=message) as info:
         bound_nonlinear(net, _contracting_problem(rate), [1.0], (), 0.5,
                         CertifyConfig(colloc_count=20))
-    assert not isinstance(info.value, DegenerateSmoothingError)
+    assert "stencil point" not in str(info.value)
 
 
 # -- reference comparison -------------------------------------------------

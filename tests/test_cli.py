@@ -10,7 +10,7 @@ from pinncert.cli import main
 from pinncert.config import (_SECTIONS, ExperimentConfig, load_config, preset_config,
                              save_config)
 from pinncert.network import init_network, load_network, save_network
-from pinncert.ode import ConfigurationError
+from pinncert.ode import ConfigurationError, NumericError
 from pinncert.presets import export_schedule, load_schedule, make_pendulum_schedule
 
 
@@ -36,7 +36,7 @@ def tiny_decay_config(tmp_path, **overrides):
 def test_config_round_trip(tmp_path, preset, desk_scale):
     cfg = preset_config(preset, desk_scale=desk_scale)
     cfg.gamma_phys, cfg.hidden = 0.7, [8, 3]
-    cfg.mu, cfg.L_override, cfg.n_override = 0.05, 2.5, 7
+    cfg.L_override, cfg.query_points = 2.5, 7
     path = tmp_path / "exp.ini"
     save_config(cfg, path)
     loaded = load_config(path)
@@ -66,7 +66,6 @@ def test_config_rejects_unknown_preset():
     ("query_points", True, "query_points must be an int >= 1, got True"),
     ("epochs", 2.0, "[training] epochs must be an int >= 0, got 2.0"),
     ("surr_epochs", 2.0, "[surrogate] epochs must be an int >= 0, got 2.0"),
-    ("K_grid", 200.0, "[certify] K_grid must be an int >= 10, got 200.0"),
 ])
 def test_config_requires_int_counts_and_seeds_naming_the_key(key, value, message):
     # each passed validation and then failed inside numpy, naming no key
@@ -143,7 +142,6 @@ def tiny_pendulum_setup(tmp_path):
     """A small random pendulum net, a synthetic schedule and a cheap config."""
     cfg = preset_config("pendulum")
     cfg.cert_colloc_count = 40
-    cfg.K_grid = 20
     cfg.surr_count = 3
     cfg.surr_holdout = 2
     cfg.surr_hidden = [4]
@@ -231,21 +229,14 @@ def test_full_scale_with_config_exits_2(tmp_path, capsys):
 
 def test_invalid_config_value_exits_2(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[certify]\nmu = nan\n")
+    path.write_text("[certify]\nL_override = nan\n")
     assert main(["train", "--config", str(path)]) == 2
 
 
 @pytest.mark.parametrize("overrides", [
-    {"mu": -0.1},
-    {"mu": float("nan")},
-    {"mu": float("inf")},
     {"optimizer": "sgd"},
     {"surr_optimizer": "sgd"},
     {"activation": "relu"},
-    {"eps": 0.0},
-    {"eps": -0.1},
-    {"K_grid": 9},
-    {"safety_factor": 0.99},
     {"L_override": -5.0},
     {"L_override": float("nan")},
     {"L_override": float("inf")},
@@ -272,8 +263,6 @@ def test_invalid_config_values_exit_2_at_load(tmp_path, overrides):
     {"gamma_phys": float("nan")},
     {"gamma_data": float("inf")},
     {"gamma_phys": -1.0},
-    {"n_override": 0},
-    {"n_override": -3},
     {"data_count": 0},
     {"cert_colloc_count": 0},
     {"surr_count": 0},
@@ -293,14 +282,43 @@ def test_loss_weights_and_later_stage_counts_exit_2_at_load(tmp_path, overrides)
     assert not (tmp_path / "out").exists()      # rejected before any work
 
 
-def test_negative_mu_exits_2_in_certify_and_surrogate(tmp_path, capsys):
+def test_negative_L_override_exits_2_in_certify_and_surrogate(tmp_path, capsys):
     path = tmp_path / "exp.ini"
     path.write_text(f"[experiment]\nout_dir = {tmp_path / 'out'}\n"
-                    "[certify]\nmu = -1\n")
+                    "[certify]\nL_override = -1\n")
     assert main(["certify", "--config", str(path)]) == 2
     assert main(["surrogate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.count("[certify] mu must be") == 2
+    assert err.count("[certify] L override must be") == 2
+
+
+@pytest.mark.parametrize("section, key, raw", [
+    ("certify", "eps", "0.33"), ("certify", "mu", "0.05"), ("certify", "K_grid", "200"),
+    ("certify", "safety_factor", "1.5"), ("certify", "n_override", "64"),
+    ("experiment", "desk_scale", "true"),
+])
+def test_removed_key_exits_2_naming_key_and_section(tmp_path, capsys, section, key, raw):
+    # the certification policy and the scale are no longer settings: a config
+    # file that still sets one is refused, even at its old default
+    path, _ = tiny_decay_config(tmp_path)
+    path.write_text(path.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {raw}\n"))
+    assert main(["certify", "--config", str(path)]) == 2
+    assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(AttributeError):
+        setattr(preset_config("decay1d"), key, raw)
+
+
+def test_certify_meta_records_the_policy(tmp_path):
+    path, _ = tiny_decay_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    save_network(init_network([1, 4, 1], seed=0, meta={"inputs": ["t"]}),
+                 tmp_path / "out" / "network.json")
+    assert main(["certify", "--config", str(path)]) == 0
+    meta = (tmp_path / "out" / "certificates.csv.meta").read_text().splitlines()
+    assert {"eps = 0.33", "K_grid = 200", "safety_factor = 1.5"} <= set(meta)
+    used = dict(line.split(" = ") for line in meta[1:])
+    assert float(used["mu"]) == 0.1 * float(used["mean_residual"]) > 0.0
 
 
 def test_L_override_is_honoured_on_decay1d(tmp_path):
@@ -322,7 +340,7 @@ def test_numeric_failure_in_surrogate_data_exits_3(tmp_path, capsys, monkeypatch
                  tmp_path / "out" / "network.json")
 
     def degenerate(*args, **kwargs):
-        raise certify.DegenerateSmoothingError("second derivative is not finite")
+        raise NumericError("second derivative is not finite")
 
     monkeypatch.setattr(certify, "estimate_K", degenerate)
     assert main(["surrogate", "--config", str(path)]) == 3
@@ -330,12 +348,14 @@ def test_numeric_failure_in_surrogate_data_exits_3(tmp_path, capsys, monkeypatch
     assert "numeric failure" in err and "point 0 (t=" in err
 
 
-@pytest.mark.parametrize("n_override", [None, 4], ids=["eps-rule", "fixed-n"])
-def test_overflowing_growth_factor_exits_3(tmp_path, capsys, n_override):
+@pytest.mark.parametrize("n", [None, 4], ids=["eps-rule", "fixed-n"])
+def test_overflowing_growth_factor_exits_3(tmp_path, capsys, monkeypatch, n):
     # e^(rate t) overflows past t = 0.071 at rate 1e4: from the subinterval rule,
-    # or, with n fixed, from E_init; no certificate row is written
+    # or, with n fixed, from the trapezoid; no certificate row is written
+    if n is not None:
+        monkeypatch.setattr(certify, "subinterval_count", lambda *args: n)
     cfg = preset_config("pendulum")
-    cfg.L_override, cfg.n_override, cfg.out_dir = 1e4, n_override, str(tmp_path / "out")
+    cfg.L_override, cfg.out_dir = 1e4, str(tmp_path / "out")
     save_config(cfg, tmp_path / "exp.ini")
     export_schedule(make_pendulum_schedule(), tmp_path / "schedule.csv")
     net = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "pendulum_desk_net.json"
@@ -451,11 +471,10 @@ def test_overflowing_mean_residual_exits_3_naming_it(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_trapezoid_grid_past_memory_exits_3(tmp_path, capsys):
+def test_trapezoid_grid_past_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # a subinterval count numpy can address but memory cannot hold
     path, schedule = tiny_pendulum_setup(tmp_path)
-    cfg = load_config(path)
-    cfg.n_override = 2 ** 58
-    save_config(cfg, path)
+    monkeypatch.setattr(certify, "subinterval_count", lambda *args: 2 ** 58)
     assert main(["certify", "--config", str(path), "--schedule", str(schedule),
                  "--intervals", "1", "--times-per-interval", "2"]) == 3
     err = capsys.readouterr().err
@@ -539,22 +558,3 @@ def test_short_schedule_row_exits_2_naming_the_row(tmp_path, capsys):
     assert main(["certify", "--config", str(path), "--schedule", str(schedule),
                  "--intervals", "3"]) == 2
     assert f"{schedule}: row 1 has 6 of 7 values" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("raw,value", [("true", True), ("YES", True), ("1", True),
-                                       ("False", False), ("no", False), ("0", False)])
-def test_config_booleans_read_each_spelling(tmp_path, raw, value):
-    path = tmp_path / "exp.ini"
-    path.write_text(f"[experiment]\ndesk_scale = {raw}\n")
-    assert load_config(path).desk_scale is value
-
-
-@pytest.mark.parametrize("raw", ["ture", "on", "2", "y"])
-def test_config_rejects_a_misspelt_boolean_naming_key_and_section(tmp_path, capsys, raw):
-    path = tmp_path / "exp.ini"
-    path.write_text(f"[experiment]\nout_dir = {tmp_path / 'out'}\ndesk_scale = {raw}\n")
-    with pytest.raises(ConfigurationError, match=r"desk_scale in \[experiment\]"):
-        load_config(path)
-    assert main(["train", "--config", str(path)]) == 2
-    assert f"desk_scale in [experiment]: cannot read {raw!r}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
