@@ -720,7 +720,8 @@ def test_linear_and_lipschitz_routes_agree_on_scaled_identity():
             (non.e_init, non.i_hat, non.e_int, non.total)
 
 
-def test_zero_expected_error_with_curvature_raises():
+@pytest.mark.parametrize("L", [None, 2.0], ids=lambda L: f"L={L}")
+def test_zero_expected_error_with_curvature_raises(L):
     # ||e(0)|| = 0 and a mean residual of 0 make the a-priori estimate zero,
     # while K > 0: no finite n meets the E_Int budget, and no mu enters it
     with pytest.raises(ConfigurationError, match=re.escape(
@@ -728,6 +729,15 @@ def test_zero_expected_error_with_curvature_raises():
             "residual 0.0")) as info:
         subinterval_count(1.0, 0.0, 2.0, 5.0, 0.0, EPS)
     assert "mu" not in str(info.value)
+    # the same through a trajectory, at either rate source: the zero net solves
+    # x' = -2x from x0 = 0 exactly, and a residual that vanishes at every
+    # collocation point but not between them gives it curvature K > 0
+    cfg = CertifyConfig(L=L, colloc_count=20)
+    traj = Certifier(linear_time_net(0.0, 0.0), decay_1d(), cfg).trajectory([0.0], ())
+    assert traj.init_error == 0.0 and traj.certifier.mean_residual == 0.0
+    traj.K = 5.0
+    with pytest.raises(ConfigurationError, match="expected ML error is zero"):
+        bound(traj, 1.0)
 
 
 def test_bound_dispatch(quick_decay_net):

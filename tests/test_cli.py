@@ -14,7 +14,13 @@ from pinncert.ode import ConfigurationError, NumericError
 from pinncert.presets import export_schedule, load_schedule, make_pendulum_schedule
 
 
+REMOVED_CERTIFY_KEYS = ("eps", "mu", "K_grid", "safety_factor", "n_override")
+
+
 def tiny_decay_config(tmp_path, **overrides):
+    """A cheap decay1d config file; a removed [certify] key among the
+    overrides is written into the file as an older config would have it."""
+    removed = {k: overrides.pop(k) for k in REMOVED_CERTIFY_KEYS if k in overrides}
     cfg = preset_config("decay1d")
     cfg.epochs = 120
     cfg.colloc_count = 40
@@ -28,6 +34,9 @@ def tiny_decay_config(tmp_path, **overrides):
         setattr(cfg, key, value)
     path = tmp_path / "exp.ini"
     save_config(cfg, path)
+    if removed:
+        lines = "".join(f"{k} = {v}\n" for k, v in removed.items())
+        path.write_text(path.read_text().replace("[certify]\n", "[certify]\n" + lines))
     return path, cfg
 
 
@@ -234,9 +243,16 @@ def test_invalid_config_value_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("overrides", [
+    {"mu": -0.1},                   # mu, eps, K_grid and safety_factor are no longer keys
+    {"mu": float("nan")},
+    {"mu": float("inf")},
     {"optimizer": "sgd"},
     {"surr_optimizer": "sgd"},
     {"activation": "relu"},
+    {"eps": 0.0},
+    {"eps": -0.1},
+    {"K_grid": 9},
+    {"safety_factor": 0.99},
     {"L_override": -5.0},
     {"L_override": float("nan")},
     {"L_override": float("inf")},
@@ -263,6 +279,8 @@ def test_invalid_config_values_exit_2_at_load(tmp_path, overrides):
     {"gamma_phys": float("nan")},
     {"gamma_data": float("inf")},
     {"gamma_phys": -1.0},
+    {"n_override": 0},              # no longer a key
+    {"n_override": -3},
     {"data_count": 0},
     {"cert_colloc_count": 0},
     {"surr_count": 0},
