@@ -15,15 +15,14 @@ arithmetic.  The components of a ``Dual`` may themselves be ``Var``s: the
 tests' reference for the kernel's gradients, on weights bound by hand.
 
 Both modes read one table of elementary derivatives: each of ``exp``,
-``sin``, ``cos``, ``tanh`` and ``erf`` is declared once, as its array
-function and its derivative rule.  A Python float argument gives a Python
-float, computed by the same numpy function, so a reference trajectory that
-steps floats gets the numbers of a batch that steps arrays.
+``sin``, ``cos`` and ``tanh`` is declared once, as its array function and
+its derivative rule.  A Python float argument gives a Python float,
+computed by the same numpy function, so a reference trajectory that steps
+floats gets the numbers of a batch that steps arrays.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
@@ -294,7 +293,7 @@ class Dual:
 # -- elementary functions: one derivative rule each -----------------------
 #
 # Each function works uniformly on floats, numpy arrays, Vars, and Duals,
-# which lets activation functions and ODE right-hand sides be written once
+# which lets the activation and ODE right-hand sides be written once
 # and reused by evaluation, forward mode, and reverse mode.  Its one rule,
 # ``slope(v, y)`` with argument v and value y, serves both modes: a Var
 # records the pull ``g * slope``, a Dual carries the tangent
@@ -323,39 +322,7 @@ def _elementary(f, slope):
     return apply
 
 
-def _scipy_erf(x):
-    # imported on first use: only gelu networks need erf, and importing
-    # scipy.special would otherwise double the CLI's start-up time
-    from scipy.special import erf as scipy_erf
-    return scipy_erf(x)
-
-
 exp = _elementary(np.exp, lambda v, y: y)
 sin = _elementary(np.sin, lambda v, y: cos(v))
 cos = _elementary(np.cos, lambda v, y: -sin(v))
 tanh = _elementary(np.tanh, lambda v, y: 1.0 - y * y)
-erf = _elementary(_scipy_erf, lambda v, y: (2.0 / math.sqrt(math.pi)) * exp(-v * v))
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + exp(-x))
-
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def _gelu(x):
-    # exact erf formulation, not the tanh approximation
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def _silu(x):
-    return x * sigmoid(x)
-
-
-ACTIVATIONS = {
-    "tanh": tanh,
-    "gelu": _gelu,
-    "silu": _silu,
-    "sigmoid": sigmoid,
-}

@@ -1,7 +1,8 @@
 """Command-line experiment driver.
 
 Subcommands: train, certify, surrogate, compare, schedule.  Exit codes:
-0 success, 2 configuration/validation problem, 3 numeric failure.
+0 success, 2 configuration/validation problem or an unusable path,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from .train import export_loss_history
 
 def _resolve_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
-        if args.desk_scale is False:
+        if args.full_scale:
             raise ConfigurationError("--full-scale cannot be combined with --config: "
                                      "the config file sets the scale")
         cfg = load_config(args.config)
     else:
-        cfg = preset_config(args.preset or "decay1d",
-                            desk_scale=getattr(args, "desk_scale", True))
+        cfg = preset_config(args.preset or "decay1d", desk_scale=not args.full_scale)
     if getattr(args, "preset", None):
         cfg.preset = args.preset
     if getattr(args, "seed", None) is not None:
@@ -186,8 +186,7 @@ def build_parser():
         p.add_argument("--preset", choices=["decay1d", "pendulum"])
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--desk-scale", dest="desk_scale", action="store_true", default=True)
-        p.add_argument("--full-scale", dest="desk_scale", action="store_false")
+        p.add_argument("--full-scale", action="store_true")
 
     p = sub.add_parser("train", help="train a PINN preset")
     common(p)
@@ -224,7 +223,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError, ValueError) as exc:
+    # an OSError names its path: missing, a directory given as a file, or a file as --out
+    except (ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -9,7 +9,6 @@ import configparser
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .autodiff import ACTIVATIONS
 from .certify import CertifyConfig
 from .ode import ConfigurationError, require_int
 from .train import TrainingRun
@@ -25,7 +24,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     # network
     hidden: list = field(default_factory=lambda: [4, 4])
-    activation: str = "tanh"
     # training
     optimizer: str = TrainingRun.optimizer
     epochs: int = 5000
@@ -51,8 +49,6 @@ class ExperimentConfig:
         """Experiment-level rules, then those of the run objects the config maps to."""
         if self.preset not in PRESETS:
             raise ConfigurationError(f"unknown preset {self.preset!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
         require_int("seed", self.seed, 0)
         for key in ("colloc_count", "data_count", "cert_colloc_count", "query_points",
                     "surr_count", "surr_holdout"):
@@ -92,7 +88,7 @@ def preset_config(name, seed=None, desk_scale=True) -> ExperimentConfig:
     if name == "pendulum":
         cfg = ExperimentConfig(
             preset="pendulum", seed=0 if seed is None else seed,
-            hidden=[32, 32, 32, 32], activation="tanh",
+            hidden=[32, 32, 32, 32],
             optimizer="lbfgs", epochs=100000, lr=3e-3,
             colloc_count=10000, data_count=50,
             cert_colloc_count=20000,
@@ -113,7 +109,7 @@ def preset_config(name, seed=None, desk_scale=True) -> ExperimentConfig:
 
 _SECTIONS = {
     "experiment": ["preset", "seed", "out_dir"],
-    "network": ["hidden", "activation"],
+    "network": ["hidden"],
     "training": ["optimizer", "epochs", "lr", "gamma_data", "gamma_phys",
                  "colloc_count", "data_count"],
     "certify": ["L_override", "cert_colloc_count", "query_points"],
@@ -141,10 +137,14 @@ def save_config(cfg: ExperimentConfig, path):
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # values are read as written: a '%' in out_dir is a character, not interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str   # keys are case sensitive (L_override)
-    if not parser.read(path):
-        raise ConfigurationError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigurationError(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     cfg = ExperimentConfig()
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -1,7 +1,8 @@
 """Feed-forward networks: evaluation, input Jacobians, weight gradients, I/O.
 
-Hidden layers get the configured activation; the output layer is linear so
-unbounded states (e.g. pendulum velocities) remain representable.  All
+Hidden layers are tanh, so the network is smooth, as the certificate's
+curvature bound K needs; the output layer is linear so unbounded states
+(e.g. pendulum velocities) remain representable.  All
 numerics are float64.
 """
 
@@ -12,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, Dual, Tape, UsageError, Var, backward, erf, sigmoid
+from .autodiff import Dual, Tape, UsageError, Var, backward
 from .ode import ConfigurationError, OdeProblem
 
 SCHEMA_VERSION = 1
+ACTIVATION = "tanh"     # the hidden layers' activation, as a network file names it
 
 
 class ShapeError(ValueError):
@@ -29,13 +31,10 @@ class Network:
     layer_dims: list
     weights: list
     biases: list
-    activation: str = "tanh"
     seed: int = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         dims = self.layer_dims
         if not len(self.weights) == len(self.biases) == len(dims) - 1:
             raise ShapeError(
@@ -56,7 +55,7 @@ class Network:
         return self.layer_dims[-1]
 
 
-def init_network(layer_dims, activation="tanh", seed=0, meta=None):
+def init_network(layer_dims, seed=0, meta=None):
     """Glorot-uniform initialization with a caller-supplied seed."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -64,8 +63,7 @@ def init_network(layer_dims, activation="tanh", seed=0, meta=None):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Network(list(layer_dims), weights, biases, activation,
-                   seed=seed, meta=dict(meta or {}))
+    return Network(list(layer_dims), weights, biases, seed=seed, meta=dict(meta or {}))
 
 
 def infer_layout(net: Network, problem: OdeProblem = None):
@@ -136,7 +134,7 @@ def forward(net: Network, x, tape: Tape = None):
 def _evaluate(net: Network, x, tangent=None):
     """(value, d/dt) of the output at inputs ``x`` with d/dt ``tangent``; d/dt
     is None without one.  Each layer's product is a fresh array that the bias,
-    the activation and the tangent's slope then update in place, by the
+    tanh and the tangent's slope ``1 - y*y`` then update in place, by the
     arithmetic of :meth:`MlpJet.forward`, so the two agree bit for bit."""
     last = len(net.weights) - 1
     h, hd = x, tangent
@@ -146,13 +144,10 @@ def _evaluate(net: Network, x, tangent=None):
         np.add(z, b, out=z)
         if k == last:
             return z, zd
-        if net.activation != "tanh":
-            z, s, _ = _JETS[net.activation](z)
-        else:
-            np.tanh(z, out=z)
-            if zd is not None:
-                s = np.multiply(z, z)
-                np.subtract(1.0, s, out=s)
+        np.tanh(z, out=z)
+        if zd is not None:
+            s = np.multiply(z, z)
+            np.subtract(1.0, s, out=s)
         h, hd = z, None if zd is None else np.multiply(s, zd, out=s)
 
 
@@ -171,32 +166,8 @@ def time_tangent(x):
 
 # -- the training kernel ------------------------------------------------------
 #
-# (sigma, sigma', sigma'') on plain arrays.  tanh is not in the table: its jet
-# writes sigma' = 1 - y*y into a buffer and its reverse mirrors the tape's
-# expressions, so that tanh gradients equal the tape's bit for bit.
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def _sigmoid_jet(z):
-    s = sigmoid(z)
-    d1 = s * (1.0 - s)
-    return s, d1, d1 * (1.0 - 2.0 * s)
-
-
-def _silu_jet(z):
-    s, d1, d2 = _sigmoid_jet(z)
-    return z * s, s + z * d1, 2.0 * d1 + z * d2
-
-
-def _gelu_jet(z):
-    cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
-    return z * cdf, cdf + z * pdf, pdf * (2.0 - z * z)
-
-
-_JETS = {"gelu": _gelu_jet, "silu": _silu_jet, "sigmoid": _sigmoid_jet}
+# Its jet writes tanh' = 1 - y*y into a buffer, and its reverse mirrors the
+# tape's expressions, so that the kernel's gradients equal the tape's bit for bit.
 
 
 class MlpJet:
@@ -216,7 +187,6 @@ class MlpJet:
         if x.ndim != 2 or x.shape[1] != net.n_in:
             raise ShapeError(f"input rows must be (B, {net.n_in}), got {x.shape}")
         self.net, self.x, self.tangent = net, x, tangent
-        self.tanh = net.activation == "tanh"
         rows = len(x)
         hidden = net.layer_dims[1:-1]
 
@@ -230,8 +200,7 @@ class MlpJet:
             return [flat[k % count][:rows * w].reshape(rows, w) for k, w in enumerate(hidden)]
 
         self.value = buffers(net.layer_dims[1:])    # activations; the output last
-        self.slope = buffers(hidden)                # sigma' at each hidden layer
-        self.curv = [] if self.tanh else buffers(hidden)    # sigma''
+        self.slope = buffers(hidden)                # tanh' at each hidden layer
         self.g_value = shared(2)
         self.gwt = [np.empty((a, b)) for a, b in zip(net.layer_dims[:-1], net.layer_dims[1:])]
         self.gb = [np.empty(w) for w in net.layer_dims[1:]]
@@ -257,12 +226,9 @@ class MlpJet:
             if k == last:
                 break
             s = self.slope[k]
-            if self.tanh:
-                np.tanh(z, out=z)
-                np.multiply(z, z, out=s)
-                np.subtract(1.0, s, out=s)
-            else:
-                z[...], s[...], self.curv[k][...] = _JETS[net.activation](z)
+            np.tanh(z, out=z)
+            np.multiply(z, z, out=s)
+            np.subtract(1.0, s, out=s)
             h = z
             if hd is not None:
                 hd = np.multiply(s, self.pre_dot[k], out=self.dot[k])
@@ -306,18 +272,13 @@ class MlpJet:
                 ghd, tmp = self.g_dot[k - 1], self.scratch[k - 1]
                 np.matmul(gzd, w, out=ghd)
                 np.multiply(ghd, self.pre_dot[k - 1], out=tmp)
-                if self.tanh:
-                    # the tape's d/dt tanh is (1 - y*y) * zd: it adds the two
-                    # partials of y*y onto y's adjoint one after the other
-                    np.negative(tmp, out=tmp)
-                    np.multiply(tmp, self.value[k - 1], out=tmp)
-                    np.add(gh, tmp, out=gh)
-                    np.add(gh, tmp, out=gh)
-                    np.multiply(gh, s, out=gh)
-                else:
-                    np.multiply(gh, s, out=gh)
-                    np.multiply(tmp, self.curv[k - 1], out=tmp)
-                    np.add(gh, tmp, out=gh)
+                # the tape's d/dt tanh is (1 - y*y) * zd: it adds the two
+                # partials of y*y onto y's adjoint one after the other
+                np.negative(tmp, out=tmp)
+                np.multiply(tmp, self.value[k - 1], out=tmp)
+                np.add(gh, tmp, out=gh)
+                np.add(gh, tmp, out=gh)
+                np.multiply(gh, s, out=gh)
                 gzd = np.multiply(ghd, s, out=ghd)
             gz = gh
         offset = 0
@@ -401,7 +362,7 @@ def save_network(net: Network, path):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "layer_dims": list(net.layer_dims),
-        "activation": net.activation,
+        "activation": ACTIVATION,
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
         "seed": net.seed,
@@ -425,11 +386,12 @@ def load_network(path) -> Network:
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         if not all(np.isfinite(a).all() for a in weights + biases):
             raise ValueError("a weight or bias is missing or non-finite")
+        if doc["activation"] != ACTIVATION:
+            raise ValueError(f"activation {doc['activation']!r}: networks are {ACTIVATION}")
         return Network(
             layer_dims=list(doc["layer_dims"]),
             weights=weights,
             biases=biases,
-            activation=doc["activation"],
             seed=doc.get("seed"),
             meta=doc.get("meta", {}),
         )

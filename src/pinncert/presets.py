@@ -33,8 +33,8 @@ def build_network(cfg: ExperimentConfig, problem: OdeProblem) -> Network:
     else:
         layout = ["t", "x0", "u"]
         n_in = 1 + problem.dim + problem.control_dim
-    return init_network([n_in, *cfg.hidden, problem.dim], cfg.activation,
-                        seed=cfg.seed, meta={"inputs": layout, "preset": cfg.preset})
+    return init_network([n_in, *cfg.hidden, problem.dim], seed=cfg.seed,
+                        meta={"inputs": layout, "preset": cfg.preset})
 
 
 def build_dataset(cfg: ExperimentConfig, problem: OdeProblem, seed=None) -> PointSet:

@@ -67,7 +67,7 @@ def train_error_net(dataset: PointSet, arch, run: TrainingRun, under_weight=1000
         layout.append("u")
     X = assemble_inputs(layout, dataset.t, dataset.x0, dataset.u)
     y = dataset.target
-    net = init_network([X.shape[1], *arch, 1], activation="tanh", seed=run.seed,
+    net = init_network([X.shape[1], *arch, 1], seed=run.seed,
                        meta={"inputs": layout, "kind": "error_indicator"})
 
     jet = MlpJet(net, X)

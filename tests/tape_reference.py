@@ -10,16 +10,15 @@ uses, is checked against it, and ``network.forward``'s in-place pass against
 
 import numpy as np
 
-from pinncert.autodiff import ACTIVATIONS, backward
+from pinncert.autodiff import backward, tanh
 
 
-def _forward_any(weights, biases, activation, x):
+def _forward_any(weights, biases, x):
     """Forward pass for any operand type (ndarray, Var, Dual), one dispatched
     operation at a time."""
-    act = ACTIVATIONS[activation]
     h = x
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = act(h @ w.T + b)
+        h = tanh(h @ w.T + b)
     return h @ weights[-1].T + biases[-1]
 
 
@@ -32,7 +31,7 @@ class BoundWeights:
         self.biases = [tape.var(b) for b in net.biases]
 
     def forward(self, x):
-        return _forward_any(self.weights, self.biases, self.net.activation, x)
+        return _forward_any(self.weights, self.biases, x)
 
     def gradient(self, loss):
         """Flat d(loss)/d(weights and biases), in the order of ``flatten_params``."""

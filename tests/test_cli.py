@@ -14,13 +14,15 @@ from pinncert.ode import ConfigurationError, NumericError
 from pinncert.presets import export_schedule, load_schedule, make_pendulum_schedule
 
 
-REMOVED_CERTIFY_KEYS = ("eps", "mu", "K_grid", "safety_factor", "n_override")
+# keys that are no longer settings, with the section an older config.ini has them in
+REMOVED_KEYS = {"eps": "certify", "mu": "certify", "K_grid": "certify",
+                "safety_factor": "certify", "n_override": "certify", "activation": "network"}
 
 
 def tiny_decay_config(tmp_path, **overrides):
-    """A cheap decay1d config file; a removed [certify] key among the
-    overrides is written into the file as an older config would have it."""
-    removed = {k: overrides.pop(k) for k in REMOVED_CERTIFY_KEYS if k in overrides}
+    """A cheap decay1d config file; a removed key among the overrides is
+    written into its section of the file as an older config would have it."""
+    removed = {k: overrides.pop(k) for k in REMOVED_KEYS if k in overrides}
     cfg = preset_config("decay1d")
     cfg.epochs = 120
     cfg.colloc_count = 40
@@ -34,9 +36,11 @@ def tiny_decay_config(tmp_path, **overrides):
         setattr(cfg, key, value)
     path = tmp_path / "exp.ini"
     save_config(cfg, path)
-    if removed:
-        lines = "".join(f"{k} = {v}\n" for k, v in removed.items())
-        path.write_text(path.read_text().replace("[certify]\n", "[certify]\n" + lines))
+    text = path.read_text()
+    for key, value in removed.items():
+        header = f"[{REMOVED_KEYS[key]}]\n"
+        text = text.replace(header, f"{header}{key} = {value}\n")
+    path.write_text(text)
     return path, cfg
 
 
@@ -227,6 +231,65 @@ def test_unknown_config_file_exits_2(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("seed = 3\n[experiment]\n", "{path}: File contains no section headers"),
+    ("[experiment]\nseed = 3\nseed = 4\n",
+     "{path}: While reading from '{path}' [line  3]: option 'seed' in section 'experiment'"),
+    ("[experiment]\n[experiment]\n", "{path}: While reading from '{path}' [line  2]: section"),
+    # read as written, so the value is not an int
+    ("[experiment]\nseed = %(x)s\n", "seed in [experiment]: cannot read '%(x)s'"),
+], ids=["key-before-header", "duplicate-key", "duplicate-section", "interpolation"])
+def test_malformed_config_file_exits_2_naming_it(tmp_path, capsys, text, message):
+    # each raised a configparser error, exit 1 with a traceback
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message.format(path=path) in err and "Traceback" not in err
+
+
+def test_config_with_a_percent_in_out_dir_replays(tmp_path):
+    # a saved config is read as written: '%' is not interpolation
+    path, cfg = tiny_decay_config(tmp_path, out_dir=str(tmp_path / "run%2"), epochs=20)
+    assert main(["train", "--config", str(path)]) == 0
+    saved = tmp_path / "run%2" / "config.ini"
+    assert load_config(saved).out_dir == str(tmp_path / "run%2")
+    assert main(["train", "--config", str(saved), "--out", str(tmp_path / "replay%(x)s")]) == 0
+    assert ((tmp_path / "replay%(x)s" / "network.json").read_bytes()
+            == (tmp_path / "run%2" / "network.json").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["certify", "--config", d["config"], "--network", d["dir"],
+               "--schedule", d["schedule"], "--intervals", "2"],
+    lambda d: ["certify", "--config", d["config"], "--schedule", d["dir"], "--intervals", "2"],
+    lambda d: ["compare", d["dir"]],
+    lambda d: ["train", "--config", d["config"], "--out", d["file"]],
+], ids=["network-dir", "schedule-dir", "compare-dir", "out-file"])
+def test_path_of_the_wrong_kind_exits_2_naming_it(tmp_path, capsys, argv):
+    # a directory where a file is read, or a file where --out makes a directory
+    path, schedule = tiny_pendulum_setup(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    args = argv({"config": str(path), "schedule": str(schedule),
+                 "dir": str(tmp_path / "a_dir"), "file": str(tmp_path / "a_file")})
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "a_") in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
+
+
+def test_non_tanh_network_file_exits_2_naming_file_and_value(tmp_path, capsys):
+    path, cfg = tiny_decay_config(tmp_path)
+    net_path = tmp_path / "gelu.json"
+    save_network(init_network([1, 4, 1], seed=0, meta={"inputs": ["t"]}), net_path)
+    net_path.write_text(net_path.read_text().replace('"activation": "tanh"',
+                                                     '"activation": "gelu"'))
+    assert main(["certify", "--config", str(path), "--network", str(net_path)]) == 2
+    assert f"{net_path}: activation 'gelu'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificates.csv").exists()
+
+
 def test_full_scale_with_config_exits_2(tmp_path, capsys):
     # the loaded config is never swapped for a preset behind the caller's back
     path, _ = tiny_decay_config(tmp_path)
@@ -248,7 +311,7 @@ def test_invalid_config_value_exits_2(tmp_path):
     {"mu": float("inf")},
     {"optimizer": "sgd"},
     {"surr_optimizer": "sgd"},
-    {"activation": "relu"},
+    {"activation": "relu"},         # nor is activation: networks are tanh
     {"eps": 0.0},
     {"eps": -0.1},
     {"K_grid": 9},
@@ -313,11 +376,11 @@ def test_negative_L_override_exits_2_in_certify_and_surrogate(tmp_path, capsys):
 @pytest.mark.parametrize("section, key, raw", [
     ("certify", "eps", "0.33"), ("certify", "mu", "0.05"), ("certify", "K_grid", "200"),
     ("certify", "safety_factor", "1.5"), ("certify", "n_override", "64"),
-    ("experiment", "desk_scale", "true"),
+    ("experiment", "desk_scale", "true"), ("network", "activation", "tanh"),
 ])
 def test_removed_key_exits_2_naming_key_and_section(tmp_path, capsys, section, key, raw):
-    # the certification policy and the scale are no longer settings: a config
-    # file that still sets one is refused, even at its old default
+    # the certification policy, the scale and the activation are no longer
+    # settings: a config file that still sets one is refused, even at its old default
     path, _ = tiny_decay_config(tmp_path)
     path.write_text(path.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {raw}\n"))
     assert main(["certify", "--config", str(path)]) == 2

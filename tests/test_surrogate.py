@@ -150,8 +150,7 @@ def _pendulum_shaped_dataset(n=50, seed=4):
 def _taped_fit(dataset, fitted, run, under_weight):
     """The fit with the network on the general tape: its weights bound as
     tape leaves by hand on each evaluation."""
-    net = init_network(fitted.layer_dims, activation="tanh", seed=run.seed,
-                       meta=dict(fitted.meta))
+    net = init_network(fitted.layer_dims, seed=run.seed, meta=dict(fitted.meta))
     X = assemble_inputs(net.meta["inputs"], dataset.t, dataset.x0, dataset.u)
 
     def evaluate():

@@ -393,9 +393,8 @@ def _taped_loss_and_grad(net, problem, dataset, colloc, run, eta_w):
     return float(total.value), l_data, l_phys, bound.gradient(total)
 
 
-def _preset_problem(name, activation="tanh", colloc_count=300, **run_overrides):
+def _preset_problem(name, colloc_count=300, **run_overrides):
     cfg = preset_config(name)
-    cfg.activation = activation
     problem = presets.build_problem(cfg)
     net = presets.build_network(cfg, problem)
     dataset = presets.build_dataset(cfg, problem)
@@ -444,15 +443,6 @@ def test_tanh_kernel_equals_the_tape_bit_for_bit_on_any_widths(dims, steps):
     kernel, taped = _kernel_and_tape(net, problem, dataset, colloc, run, steps)
     for a, b in zip(kernel, taped):
         assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("activation", ["gelu", "silu", "sigmoid"])
-@pytest.mark.parametrize("name", ["decay1d", "pendulum"])
-def test_other_activations_match_the_tape(name, activation):
-    for steps in (0, 20):
-        kernel, taped = _kernel_and_tape(*_preset_problem(name, activation), steps)
-        for a, b in zip(kernel, taped):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
 
 
 @pytest.mark.parametrize("case", ["data_only", "physics_only", "eta_breakpoints"])
