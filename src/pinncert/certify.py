@@ -485,8 +485,7 @@ def predict_states(net: Network, problem: OdeProblem, x0, u, t_grid):
 
 # -- validation-only reference comparison ---------------------------------
 
-def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
-                 h=REFERENCE_STEP):
+def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid):
     """||x(t) - phihat(t)|| at the query times: (T,) for one (x0, u).
 
     Rows x0 (B, d) and u (B, m) that share the query times give (B, T); a
@@ -494,13 +493,11 @@ def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
     shapes raise :class:`ConfigurationError`.  The
     reference is the closed form if the problem has one, else one pass of
     the sixth-order :func:`solve_reference` over a grid through 0 and every
-    distinct query time, each gap split into equal steps no longer than h.
-    At the default h = 2e-3 the pendulum reference is within 1e-14 of a
+    distinct query time, each gap split into equal steps no longer than
+    ``REFERENCE_STEP``, at which the pendulum reference is within 1e-14 of a
     20-digit solution over the training horizon.  The times may be unsorted
     or repeated, and lie past ``problem.t_final``, but must be finite and >= 0.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ConfigurationError(f"reference step h must be finite and > 0, got {h}")
     t_grid = np.asarray(t_grid, dtype=float)
     bad = np.flatnonzero(~(np.isfinite(t_grid) & (t_grid >= 0.0)))
     if bad.size:
@@ -519,7 +516,7 @@ def actual_error(net: Network, problem: OdeProblem, x0, u, t_grid,
         ref = np.moveaxis(np.asarray(problem.exact_solution(times, x0.T)), 0, -1)
     else:
         knots, at = np.unique(np.append(t_grid, 0.0), return_inverse=True)
-        steps = np.ceil(np.diff(knots) / h).astype(int)
+        steps = np.ceil(np.diff(knots) / REFERENCE_STEP).astype(int)
         grid = np.concatenate([knots[:1], *(np.linspace(a, b, n + 1)[1:] for a, b, n
                                             in zip(knots[:-1], knots[1:], steps))])
         knot_rows = np.concatenate([[0], np.cumsum(steps)])

@@ -1,8 +1,8 @@
 """Command-line experiment driver.
 
 Subcommands: train, certify, surrogate, compare, schedule.  Exit codes:
-0 success, 2 configuration/validation problem or an unusable path,
-3 numeric failure.
+0 success, 1 a rigor violation found by compare, 2 configuration/validation
+problem or an unusable path, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .network import load_network, save_network
 from .ode import ConfigurationError, NumericError, require_int, sample_collocation
 from .table import point_columns, read_table, write_table
 from .train import export_loss_history
+
+RIGOR_SLACK = 1e-12   # a violation is a certificate this far below the reference error
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -105,7 +107,7 @@ def cmd_certify(args):
     path = out / "certificates.csv"
     cert.export_certificates(certs, path, actual)
     if actual is not None:
-        violations = sum(1 for c, a in zip(certs, actual) if c.total < a - 1e-12)
+        violations = sum(1 for c, a in zip(certs, actual) if c.total < a - RIGOR_SLACK)
         print(f"rigor violations: {violations} of {len(certs)}")
     print(f"certificates written to {path}")
     return 0
@@ -151,7 +153,7 @@ def cmd_compare(args):
     print(f"certificates: {len(totals)} rows, max total {totals.max():.6g}")
     if "actual_error" in idx:
         actual = data[:, idx["actual_error"]]
-        violations = int(np.sum(totals < actual - 1e-12))
+        violations = int(np.sum(totals < actual - RIGOR_SLACK))
         mask = actual > 0
         factors = totals[mask] / actual[mask]
         print(f"rigor violations: {violations}")

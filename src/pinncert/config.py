@@ -8,6 +8,7 @@ byte-identical.
 import configparser
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 from .certify import CertifyConfig
 from .ode import ConfigurationError, require_int
@@ -40,10 +41,11 @@ class ExperimentConfig:
     surr_count: int = 100
     surr_hidden: list = field(default_factory=lambda: [4, 4])
     surr_under_weight: float = 1000.0
-    surr_optimizer: str = "lbfgs"
     surr_epochs: int = 2000
-    surr_lr: float = TrainingRun.lr
     surr_holdout: int = 200
+    # the indicator is always fitted by L-BFGS, which takes no learning rate
+    surr_optimizer: ClassVar[str] = "lbfgs"
+    surr_lr: ClassVar[float] = TrainingRun.lr
 
     def validate(self):
         """Experiment-level rules, then those of the run objects the config maps to."""
@@ -113,8 +115,8 @@ _SECTIONS = {
     "training": ["optimizer", "epochs", "lr", "gamma_data", "gamma_phys",
                  "colloc_count", "data_count"],
     "certify": ["L_override", "cert_colloc_count", "query_points"],
-    "surrogate": ["surr_count", "surr_hidden", "surr_under_weight",
-                  "surr_optimizer", "surr_epochs", "surr_lr", "surr_holdout"],
+    "surrogate": ["surr_count", "surr_hidden", "surr_under_weight", "surr_epochs",
+                  "surr_holdout"],
 }
 
 # a key's reader, by its field's type; only a field that defaults to None may be empty

@@ -388,12 +388,17 @@ def load_network(path) -> Network:
             raise ValueError("a weight or bias is missing or non-finite")
         if doc["activation"] != ACTIVATION:
             raise ValueError(f"activation {doc['activation']!r}: networks are {ACTIVATION}")
+        meta = doc.get("meta", {})
+        inputs = meta.get("inputs", []) if isinstance(meta, dict) else None
+        if not (isinstance(inputs, list) and all(isinstance(name, str) for name in inputs)):
+            raise ValueError(f"meta {meta!r} must be an object whose inputs, if given, "
+                             "are a list of names")
         return Network(
             layer_dims=list(doc["layer_dims"]),
             weights=weights,
             biases=biases,
             seed=doc.get("seed"),
-            meta=doc.get("meta", {}),
+            meta=meta,
         )
     except KeyError as exc:
         raise ConfigurationError(f"{path}: no {exc.args[0]!r} entry") from None

@@ -2,7 +2,7 @@
 
 Reference trajectories are for validation only; certificates never touch
 them.  They come from Butcher's fixed-step seven-stage sixth-order
-Runge-Kutta method, by default at steps of ``REFERENCE_STEP``.  Right-hand
+Runge-Kutta method on grids that step at most ``REFERENCE_STEP``.  Right-hand
 sides are written with the dispatching math functions from
 :mod:`.autodiff`, so the same definition serves plain evaluation,
 forward-mode Jacobians, and tape-recorded training batches.
@@ -153,13 +153,9 @@ PENDULUM_D = 0.005
 GRAVITY = 9.81
 
 
-def inverted_pendulum(friction=PENDULUM_D) -> OdeProblem:
-    """Pendulum on a cart, state (phi, phidot, s, sdot), control u = cart accel.
-
-    ``friction`` is exposed so energy-conservation tests can switch it off.
-    """
-    m, a, j, g = PENDULUM_M, PENDULUM_A, PENDULUM_J, GRAVITY
-    d = friction
+def inverted_pendulum() -> OdeProblem:
+    """Pendulum on a cart, state (phi, phidot, s, sdot), control u = cart accel."""
+    m, a, j, g, d = PENDULUM_M, PENDULUM_A, PENDULUM_J, GRAVITY, PENDULUM_D
     denom = j + m * a * a
 
     def rhs(t, x, u):
@@ -219,7 +215,7 @@ def _step(rhs, t0, t1, xs, u):
             for x, a, c, d, e, f, g in zip(xs, k1, k3, k4, k5, k6, k7)]
 
 
-def solve_reference(problem: OdeProblem, x0, u=(), t_grid=None) -> Trajectory:
+def solve_reference(problem: OdeProblem, x0, u, t_grid) -> Trajectory:
     """Fixed-step integration on the given grid with Butcher's seven-stage
     sixth-order Runge-Kutta method (Hairer, Norsett & Wanner, Solving ODEs I,
     section II.5).

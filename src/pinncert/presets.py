@@ -20,6 +20,7 @@ from .train import anchor_dataset, train
 
 SCHEDULE_INTERVALS = 50
 SCHEDULE_T_TOTAL = 4.0
+SCHEDULE_X0 = (0.15, 0.0, 0.0, 0.0)
 
 
 def build_problem(cfg: ExperimentConfig) -> OdeProblem:
@@ -79,28 +80,25 @@ def train_preset(cfg: ExperimentConfig):
 _FEEDBACK_GAINS = (30.4348589, 7.93820539, -1.0, -2.28141715)
 
 
-def make_pendulum_schedule(n_intervals=SCHEDULE_INTERVALS, t_total=SCHEDULE_T_TOTAL,
-                           x0=(0.15, 0.0, 0.0, 0.0), h=REFERENCE_STEP):
-    """Piecewise-constant controls and interval initial values.
+def make_pendulum_schedule():
+    """Piecewise-constant controls and interval initial values from ``SCHEDULE_X0``.
 
     u is sampled from clamped LQR state feedback at each interval start;
     the next interval's x0 comes from a fixed-step sixth-order
     :func:`solve_reference` pass through the interval in equal steps no
-    longer than h.
+    longer than ``REFERENCE_STEP``.
     Returns a list of (t_start, x0 (4,), u) tuples.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ConfigurationError(f"reference step h must be finite and > 0, got {h}")
     problem = inverted_pendulum()
     kp, kd, ks, ksd = _FEEDBACK_GAINS
-    dt = t_total / n_intervals
-    x = np.asarray(x0, dtype=float)
+    dt = SCHEDULE_T_TOTAL / SCHEDULE_INTERVALS
+    x = np.asarray(SCHEDULE_X0, dtype=float)
     rows = []
-    for i in range(n_intervals):
+    for i in range(SCHEDULE_INTERVALS):
         u = -(kp * x[0] + kd * x[1] + ks * x[2] + ksd * x[3])
         u = float(np.clip(u, -15.0, 15.0))
         rows.append((i * dt, x.copy(), u))
-        grid = np.linspace(0.0, dt, math.ceil(dt / h) + 1)
+        grid = np.linspace(0.0, dt, math.ceil(dt / REFERENCE_STEP) + 1)
         traj = solve_reference(problem, x, [u], grid)
         x = traj.states[-1]
     return rows
@@ -115,9 +113,9 @@ def export_schedule(rows, path):
                 ((i, t_start, *x0, u) for i, (t_start, x0, u) in enumerate(rows)))
 
 
-def load_schedule(path, expected_intervals=SCHEDULE_INTERVALS):
+def load_schedule(path):
     idx, data = read_table(path, SCHEDULE_COLUMNS)
-    if len(data) != expected_intervals:
-        raise ConfigurationError(f"{path}: {len(data)} rows, a schedule has {expected_intervals}")
+    if len(data) != SCHEDULE_INTERVALS:
+        raise ConfigurationError(f"{path}: {len(data)} rows, a schedule has {SCHEDULE_INTERVALS}")
     x0 = [idx[c] for c in SCHEDULE_COLUMNS[2:6]]
     return [(float(r[idx["t_start"]]), r[x0], float(r[idx["u"]])) for r in data]

@@ -66,11 +66,10 @@ def eta_weights(eta, t):
     return np.interp(t, pts[:, 0], pts[:, 1])
 
 
-def anchor_dataset(x0s, u=None) -> PointSet:
+def anchor_dataset(x0s) -> PointSet:
     """t=0 records mapping each initial value to itself (pins E_init)."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    return PointSet(np.zeros(len(x0s)), x0s,
-                    None if u is None else np.atleast_2d(np.asarray(u, dtype=float)), x0s.copy())
+    return PointSet(np.zeros(len(x0s)), x0s, target=x0s.copy())
 
 
 # -- losses ---------------------------------------------------------------

@@ -16,7 +16,8 @@ from pinncert.presets import export_schedule, load_schedule, make_pendulum_sched
 
 # keys that are no longer settings, with the section an older config.ini has them in
 REMOVED_KEYS = {"eps": "certify", "mu": "certify", "K_grid": "certify",
-                "safety_factor": "certify", "n_override": "certify", "activation": "network"}
+                "safety_factor": "certify", "n_override": "certify", "activation": "network",
+                "surr_optimizer": "surrogate", "surr_lr": "surrogate"}
 
 
 def tiny_decay_config(tmp_path, **overrides):
@@ -310,7 +311,7 @@ def test_invalid_config_value_exits_2(tmp_path):
     {"mu": float("nan")},
     {"mu": float("inf")},
     {"optimizer": "sgd"},
-    {"surr_optimizer": "sgd"},
+    {"surr_optimizer": "sgd"},      # nor are surr_optimizer and surr_lr: the fit is L-BFGS
     {"activation": "relu"},         # nor is activation: networks are tanh
     {"eps": 0.0},
     {"eps": -0.1},
@@ -377,10 +378,12 @@ def test_negative_L_override_exits_2_in_certify_and_surrogate(tmp_path, capsys):
     ("certify", "eps", "0.33"), ("certify", "mu", "0.05"), ("certify", "K_grid", "200"),
     ("certify", "safety_factor", "1.5"), ("certify", "n_override", "64"),
     ("experiment", "desk_scale", "true"), ("network", "activation", "tanh"),
+    ("surrogate", "surr_optimizer", "lbfgs"), ("surrogate", "surr_lr", "0.01"),
 ])
 def test_removed_key_exits_2_naming_key_and_section(tmp_path, capsys, section, key, raw):
-    # the certification policy, the scale and the activation are no longer
-    # settings: a config file that still sets one is refused, even at its old default
+    # the certification policy, the scale, the activation and the indicator's
+    # optimizer are no longer settings: a config file that still sets one is
+    # refused, even at its old default
     path, _ = tiny_decay_config(tmp_path)
     path.write_text(path.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {raw}\n"))
     assert main(["certify", "--config", str(path)]) == 2
@@ -508,7 +511,14 @@ def test_non_finite_schedule_entry_exits_2_naming_row_and_column(tmp_path, capsy
     (lambda doc: dict(doc, weights=doc["weights"][:-1], biases=doc["biases"][:-1]),
      "for the 2 layers"),
     (lambda doc: [1, 2], "not a JSON object"),
-], ids=["no-biases", "null-weight", "last-layer-dropped", "not-an-object"])
+    # malformed metadata used to fail later with a TypeError traceback, and
+    # string inputs were read as a list of their characters
+    *((lambda doc, meta=meta: dict(doc, meta=meta), "list of names")
+      for meta in (5, "inputs", {"inputs": 5}, {"inputs": None}, {"inputs": "t"},
+                   {"inputs": ["t", 0, "u"]})),
+], ids=["no-biases", "null-weight", "last-layer-dropped", "not-an-object", "meta-number",
+        "meta-string", "meta-inputs-number", "meta-inputs-null", "meta-inputs-string",
+        "meta-inputs-non-name"])
 def test_malformed_network_file_exits_2_naming_the_file(tmp_path, capsys, edit, message):
     path, schedule = tiny_pendulum_setup(tmp_path)
     net_path = tmp_path / "out" / "network.json"

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pinncert import presets
+from pinncert import ode, presets
 from pinncert.certify import rhs_jacobian
 from pinncert.config import preset_config
 from pinncert.presets import (SCHEDULE_INTERVALS, SCHEDULE_T_TOTAL, build_dataset,
@@ -138,9 +138,10 @@ def test_reference_step_accuracy_against_mpmath():
         assert np.max(np.abs(ours - exact)) <= 2e-14
 
 
-def test_pendulum_energy_conserved_without_friction():
+def test_pendulum_energy_conserved_without_friction(monkeypatch):
     # angle is measured from upright, so the potential is +m g a cos(phi)
-    p = inverted_pendulum(friction=0.0)
+    monkeypatch.setattr(ode, "PENDULUM_D", 0.0)
+    p = inverted_pendulum()
     t = np.linspace(0.0, 1.0, 501)   # h = REFERENCE_STEP
     traj = solve_reference(p, [0.4, 0.0, 0.0, 0.0], [0.0], t)
     denom = PENDULUM_J + PENDULUM_M * PENDULUM_A ** 2
@@ -284,17 +285,13 @@ def test_schedule_steps_are_no_longer_than_h(h, monkeypatch):
         return solve_reference(problem, x0, u, t_grid)
 
     monkeypatch.setattr(presets, "solve_reference", recording_solve)
-    presets.make_pendulum_schedule(n_intervals=3, h=h)
+    monkeypatch.setattr(presets, "SCHEDULE_INTERVALS", 3)
+    monkeypatch.setattr(presets, "REFERENCE_STEP", h)
+    presets.make_pendulum_schedule()
     dt = SCHEDULE_T_TOTAL / 3
     for grid in grids:
         assert len(grid) == math.ceil(dt / h) + 1
         assert np.max(np.diff(grid)) <= h
-
-
-@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
-def test_schedule_rejects_bad_step(h):
-    with pytest.raises(ConfigurationError, match="step h"):
-        make_pendulum_schedule(n_intervals=3, h=h)
 
 
 def test_dataset_targets_equal_serial_oracle():
